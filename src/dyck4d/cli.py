@@ -11,15 +11,15 @@ import json
 import sys
 from typing import Sequence, TextIO
 
-from .coords import Plane, is_reachable, node_from
-from .dynamics import build_table, catalan, table_to_csv, table_to_json
+from .coords import PLANES_2D, Plane, is_reachable, node_from
+from .dynamics import DEFAULT_POSITION_CAP, build_table, catalan, table_to_csv, table_to_json
 from .errors import DyckError, ResourceLimit
-from .identities import decompose_catalan
+from .identities import decompose_catalan, square_term
 from .paths import enumerate_words, format_word, parse_word, project_path, trace
 from .render import DiagramSpec, emit, layout
 from .verify import run_checks
 
-_CLI_PLANES = ("ij", "nj", "nk", "in", "kj", "ik")
+_CLI_PLANES = tuple(plane.name for plane in PLANES_2D)
 
 
 class _UsageError(Exception):
@@ -87,9 +87,12 @@ def _cmd_dynamics(args, out: TextIO) -> int:
     if not is_reachable(args.i, args.j):
         print("0 (unreachable)", file=out)
         return 0
-    table = build_table(args.i)
+    if args.i > DEFAULT_POSITION_CAP:
+        raise ResourceLimit(
+            f"max_i = {args.i} exceeds the position cap of {DEFAULT_POSITION_CAP}"
+        )
     node = node_from(Plane.parse("ij"), args.i, args.j)
-    value = table.count_node(node)
+    value = square_term(node.i, node.k)
     print(f"{value} (i={node.i}, j={node.j}, n={node.n}, k={node.k})", file=out)
     return 0
 

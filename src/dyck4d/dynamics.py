@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -85,24 +86,16 @@ def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable
     return DynamicsTable(max_i, tuple(cols))
 
 
-_catalan_cache: DynamicsTable | None = None
-
-
 def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
-    """The n-th Catalan number, read off the count table at (2n, 0)."""
-    global _catalan_cache
+    """The n-th Catalan number, C(2n, n) / (n + 1): the count at (2n, 0),
+    so the position cap applies to 2n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if 2 * n > cap:
         raise ResourceLimit(
             f"catalan({n}) needs positions up to {2 * n}, beyond the cap of {cap}"
         )
-    cached = _catalan_cache
-    if cached is None or cached.max_i < 2 * n:
-        grown = max(64, 2 * n, 0 if cached is None else 2 * cached.max_i)
-        cached = build_table(min(cap, grown), cap=cap)
-        _catalan_cache = cached
-    return cached.count(2 * n, 0)
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def table_to_csv(table: DynamicsTable) -> str:
@@ -176,7 +169,8 @@ def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: in
 
 def _parse_count(text: str) -> int:
     text = text.strip()
-    if not text.isdigit():
+    # str.isdigit also accepts non-ASCII digits such as "¹", which int() rejects.
+    if not (text.isascii() and text.isdigit()):
         raise TableFormatError(f"count {text!r} is not a nonnegative decimal string")
     return int(text)
 
@@ -216,7 +210,7 @@ def table_from_json(text: str) -> DynamicsTable:
             f"unsupported format {doc.get('format')!r}, expected {TABLE_FORMAT!r}"
         )
     max_i = doc.get("max_i")
-    if not isinstance(max_i, int) or max_i < 0:
+    if type(max_i) is not int or max_i < 0:  # JSON true/false load as bools
         raise TableFormatError(f"max_i must be a nonnegative integer, got {max_i!r}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
@@ -231,7 +225,7 @@ def table_from_json(text: str) -> DynamicsTable:
         except KeyError as exc:
             raise TableFormatError(f"record missing field {exc}") from exc
         for value in coords:
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise TableFormatError(f"coordinate {value!r} is not an integer")
         if not isinstance(count_text, str):
             raise TableFormatError(f"count must be a decimal string, got {count_text!r}")

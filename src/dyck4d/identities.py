@@ -1,13 +1,14 @@
 """Closed-form binomial identities for the triangle's counts.
 
-Everything here is exact integer arithmetic.  The closed forms give a
-second, independent route to values the count tables produce by
-recurrence; :func:`decompose_catalan` cross-checks the two routes against
-each other on every call.
+Everything here is exact integer arithmetic on ``math.comb``.  The closed
+forms give a second, independent route to values the count tables produce
+by recurrence; :func:`decompose_catalan` cross-checks the two routes
+against each other on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import DEFAULT_POSITION_CAP, build_table, catalan
@@ -17,18 +18,14 @@ from .errors import DomainError, DyckError, ResourceLimit
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; zero when k < 0 or k > n.
 
-    Computed by the multiplicative running product with exact division at
-    each step, so no factorials ever materialize.
+    ``math.comb`` already gives zero for k > n; negative k, which it
+    rejects, is an empty choice here.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
+    if k < 0:
         return 0
-    k = min(k, n - k)
-    result = 1
-    for step in range(1, k + 1):
-        result = result * (n - step + 1) // step
-    return result
+    return math.comb(n, k)
 
 
 def convolution(n: int, j: int) -> int:
@@ -103,7 +100,8 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
 
     Terms come from the binomial closed form; each is checked against a
     freshly built count table, and the squared sum against the Catalan
-    number itself.  A mismatch would mean a broken build and raises.
+    number's own closed form.  A mismatch would mean a broken build and
+    raises.  The cap applies to position 2v, where Cat(v) sits.
     """
     if v < 0:
         raise ValueError(f"v must be nonnegative, got {v}")

@@ -44,11 +44,6 @@ def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:
     return paths.DyckWord("".join(steps))
 
 
-def _catalan_cap(bound: int) -> int:
-    # Catalan cross-checks up to column `bound` need tables twice as long.
-    return max(dynamics.DEFAULT_POSITION_CAP, 2 * bound)
-
-
 def _check_node_equations(bound: int) -> CheckResult:
     total = 0
     for node in coords.iter_nodes(bound):
@@ -194,8 +189,8 @@ def _check_square_terms(bound: int) -> CheckResult:
 
 
 def _check_convolution(bound: int) -> CheckResult:
+    # Entry j = 0 of row n is compared with count(2n, 0), the Catalan number.
     table = dynamics.build_table(bound)
-    cap = _catalan_cap(bound)
     for n in range(bound // 2 + 1):
         for j in range(n + 1):
             if identities.convolution(n, j) != table.count(2 * n - j, j):
@@ -203,18 +198,17 @@ def _check_convolution(bound: int) -> CheckResult:
                     "convolution-matrix", False,
                     f"matrix entry disagrees at (n={n}, j={j})",
                 )
-        if identities.convolution(n, 0) != dynamics.catalan(n, cap=cap):
-            return CheckResult(
-                "convolution-matrix", False, f"first column wrong at n = {n}"
-            )
     return CheckResult("convolution-matrix", True, f"n <= {bound // 2}")
 
 
 def _check_sum_of_squares(bound: int) -> CheckResult:
-    cap = _catalan_cap(bound)
+    # Catalan numbers up to column `bound` sit at positions up to twice it.
+    table = dynamics.build_table(
+        2 * bound, cap=max(dynamics.DEFAULT_POSITION_CAP, 2 * bound)
+    )
     for v in range(bound + 1):
         total = sum(identities.square_term(v, k) ** 2 for k in range(v // 2 + 1))
-        if total != dynamics.catalan(v, cap=cap):
+        if total != table.count(2 * v, 0):
             return CheckResult("sum-of-squares", False, f"identity fails at v = {v}")
     return CheckResult("sum-of-squares", True, f"v <= {bound}")
 
@@ -238,14 +232,14 @@ def _check_special_terms(bound: int) -> CheckResult:
 
 def _check_decomposition(bound: int) -> CheckResult:
     limit = min(bound, 40)
-    cap = _catalan_cap(limit)
+    table = dynamics.build_table(2 * limit)
     for v in range(limit + 1):
-        dec = identities.decompose_catalan(v, cap=cap)
+        dec = identities.decompose_catalan(v)
         if dec.terms[0] != 1:
             return CheckResult("decomposition", False, f"first term not 1 at v = {v}")
-        if dec.terms[-1] != dynamics.catalan((v + 1) // 2, cap=cap):
+        if dec.terms[-1] != table.count(2 * ((v + 1) // 2), 0):
             return CheckResult("decomposition", False, f"last term wrong at v = {v}")
-        if dec.sum_of_squares != dynamics.catalan(v, cap=cap):
+        if dec.sum_of_squares != table.count(2 * v, 0):
             return CheckResult("decomposition", False, f"squared sum wrong at v = {v}")
     return CheckResult("decomposition", True, f"v <= {limit}")
 
@@ -278,9 +272,10 @@ def _check_path_geometry(bound: int) -> CheckResult:
 
 def _check_enumeration(bound: int) -> CheckResult:
     limit = min(bound // 2, 10)
+    table = dynamics.build_table(2 * limit)
     for m in range(limit + 1):
         words = list(paths.enumerate_words(m))
-        if len(words) != dynamics.catalan(m):
+        if len(words) != table.count(2 * m, 0):
             return CheckResult(
                 "enumeration-count", False,
                 f"{len(words)} words of semilength {m}, expected catalan({m})",

@@ -190,3 +190,21 @@ class TestSerialization:
         doc["entries"][0]["count"] = 1
         with pytest.raises(TableFormatError):
             table_from_json(json.dumps(doc))
+
+    def test_csv_rejects_non_ascii_digit_count(self):
+        # "¹".isdigit() is true, but int() rejects it.
+        text = table_to_csv(build_table(1)).replace("1,1,1,0,1", "1,1,1,0,¹")
+        with pytest.raises(TableFormatError):
+            table_from_csv(text)
+
+    @pytest.mark.parametrize("field", ["max_i", "i", "j", "n", "k"])
+    def test_json_rejects_bool_integers(self, field):
+        import json
+
+        doc = json.loads(table_to_json(build_table(1)))
+        if field == "max_i":
+            doc["max_i"] = True
+        else:
+            doc["entries"][1][field] = True
+        with pytest.raises(TableFormatError):
+            table_from_json(json.dumps(doc))

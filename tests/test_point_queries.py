@@ -1,0 +1,57 @@
+"""Point queries answer by closed form: no count table is ever built."""
+
+import io
+import math
+
+import pytest
+
+from dyck4d import build_table, catalan, cli, dynamics, identities
+from dyck4d.cli import run
+
+
+def invoke(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(list(argv), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("i", ["4097", "99999"])
+def test_dynamics_over_cap_is_a_resource_limit(i):
+    code, out, err = invoke("dynamics", i, "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+def test_dynamics_at_cap():
+    code, out, _ = invoke("dynamics", "4096", "0")
+    assert code == 0
+    assert out == f"{math.comb(4096, 2048) // 2049} (i=4096, j=0, n=2048, k=2048)\n"
+
+
+def test_dynamics_agrees_with_table():
+    table = build_table(40)
+    for i in range(41):
+        for j in range(i % 2, i + 1, 2):
+            code, out, _ = invoke("dynamics", str(i), str(j))
+            assert code == 0
+            assert out.split()[0] == str(table.count(i, j)), (i, j)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point query built a count table")
+
+    for module in (dynamics, identities, cli):
+        monkeypatch.setattr(module, "build_table", refuse)
+
+
+def test_catalan_builds_no_table(no_tables):
+    assert catalan(2048) == math.comb(4096, 2048) // 2049
+    assert invoke("catalan", "2048") == (0, f"{catalan(2048)}\n", "")
+
+
+def test_dynamics_builds_no_table(no_tables):
+    assert invoke("dynamics", "12", "0") == (0, "132 (i=12, j=0, n=6, k=6)\n", "")
+    assert invoke("dynamics", "4095", "1")[0] == 0
