@@ -38,6 +38,11 @@ class Node:
     k: int
 
     def __post_init__(self):
+        i, j, n, k = self.i, self.j, self.n, self.k
+        # Fast path for valid nodes (n, i >= 0 follow); the loop words rejections.
+        if type(i) is type(j) is type(n) is type(k) is int and 0 <= k and 0 <= j:
+            if i <= MAX_COORD and i == n + k and j == n - k:
+                return
         for name in AXES:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

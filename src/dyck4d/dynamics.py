@@ -7,8 +7,10 @@ recurrence
     count(0, 0) = 1,
     count(i, j) = count(i-1, j+1) + count(i-1, j-1),
 
-with absent predecessors contributing zero, and hold exact Python integers
-throughout -- the values outgrow any machine word quickly.
+with absent predecessors contributing zero (``_next_column``, which import
+validation reruns), and hold exact Python integers throughout.  Export and
+import read the columns directly: i and k fix j = i - 2k and n = i - k, so
+no :class:`Node` is built per entry.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .coords import Node, iter_nodes
+from .coords import MAX_COORD, Node, iter_nodes
 from .errors import NotANode, OutOfRange, ResourceLimit, TableFormatError
 
 # Desk-scale guard against accidental huge builds; callers that really want
@@ -65,6 +68,13 @@ class DynamicsTable:
         return sum(len(col) for col in self._cols)
 
 
+def _next_column(prev: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Column i from column i-1: entry k adds the predecessors one height up
+    (diagonal k-1) and one height down (diagonal k), absent ones as zero."""
+    padded = (0, *prev, 0)
+    return tuple([a + b for a, b in zip(padded, padded[1 : i // 2 + 2])])
+
+
 def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable:
     """Build the count table for every position up to ``max_i``."""
     if max_i < 0:
@@ -73,16 +83,7 @@ def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable
         raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {cap}")
     cols: list[tuple[int, ...]] = [(1,)]
     for i in range(1, max_i + 1):
-        prev = cols[i - 1]
-        prev_k_max = (i - 1) // 2
-        col = []
-        for k in range(i // 2 + 1):
-            # Predecessor one height up sits on diagonal k-1, one height
-            # down on diagonal k; either may fall outside the triangle.
-            from_above = prev[k - 1] if k >= 1 else 0
-            from_below = prev[k] if k <= prev_k_max else 0
-            col.append(from_above + from_below)
-        cols.append(tuple(col))
+        cols.append(_next_column(cols[-1], i))
     return DynamicsTable(max_i, tuple(cols))
 
 
@@ -98,27 +99,36 @@ def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _check_str_digits(digits: int) -> None:
+    """Raise ResourceLimit before an int/str conversion of ``digits`` digits fails."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and digits > limit:
+        raise ResourceLimit(f"a count of up to {digits} digits is beyond the int/str limit {limit}")
+
+
+def _format_entries(table: DynamicsTable, fmt: str) -> list[str]:
+    """``fmt.format(i, j, n, k, count)`` for every entry, in table order."""
+    # A count of b bits has at most floor(b * log10(2)) + 1 decimal digits.
+    _check_str_digits(math.floor(max(map(max, table._cols)).bit_length() * math.log10(2)) + 1)
+    cols = enumerate(table._cols)
+    return [fmt.format(i, i - 2 * k, i - k, k, v) for i, col in cols for k, v in enumerate(col)]
+
+
 def table_to_csv(table: DynamicsTable) -> str:
     """CSV text with columns i, j, n, k, count (count as a decimal string)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["i", "j", "n", "k", "count"])
-    for node, value in table.items():
-        writer.writerow([node.i, node.j, node.n, node.k, str(value)])
-    return out.getvalue()
+    return "".join(["i,j,n,k,count\n", *_format_entries(table, "{},{},{},{},{}\n")])
 
 
 def table_to_json(table: DynamicsTable) -> str:
-    """JSON document: header with max_i and format version, then all records."""
-    doc = {
-        "format": TABLE_FORMAT,
-        "max_i": table.max_i,
-        "entries": [
-            {"i": node.i, "j": node.j, "n": node.n, "k": node.k, "count": str(value)}
-            for node, value in table.items()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON document: header with max_i and format version, then all records.
+
+    Byte for byte what ``json.dumps(doc, indent=2)`` gives; every value is
+    an int or a decimal string, so nothing needs escaping.
+    """
+    entry = '    {{\n      "i": {},\n      "j": {},\n      "n": {},\n      "k": {},\n'
+    entry += '      "count": "{}"\n    }}'
+    head = f'{{\n  "format": "{TABLE_FORMAT}",\n  "max_i": {table.max_i},\n  "entries": [\n'
+    return head + ",\n".join(_format_entries(table, entry)) + "\n  ]\n}\n"
 
 
 def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: int) -> DynamicsTable:
@@ -131,12 +141,12 @@ def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: in
     """
     seen: dict[tuple[int, int], int] = {}
     for i, j, n, k, value in records:
-        try:
-            Node(i, j, n, k)
-        except NotANode as exc:
-            raise TableFormatError(f"bad node record ({i}, {j}, {n}, {k}): {exc}") from exc
-        if value < 0:
-            raise TableFormatError(f"negative count {value} at ({i}, {j})")
+        # Node's own checks, without a Node per record; one words a rejection.
+        if not (0 <= k and 0 <= j and i <= MAX_COORD and i == n + k and j == n - k):
+            try:
+                Node(i, j, n, k)
+            except NotANode as exc:
+                raise TableFormatError(f"bad node record ({i}, {j}, {n}, {k}): {exc}") from exc
         if i > max_i:
             raise TableFormatError(f"record at position {i} beyond declared max_i {max_i}")
         if (i, k) in seen:
@@ -145,25 +155,23 @@ def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: in
 
     cols: list[tuple[int, ...]] = []
     for i in range(max_i + 1):
-        col = []
-        for k in range(i // 2 + 1):
-            if (i, k) not in seen:
-                raise TableFormatError(f"missing entry for node ({i}, {i - 2 * k})")
-            col.append(seen[(i, k)])
-        cols.append(tuple(col))
+        try:
+            cols.append(tuple([seen[i, k] for k in range(i // 2 + 1)]))
+        except KeyError as exc:
+            k = exc.args[0][1]
+            raise TableFormatError(f"missing entry for node ({i}, {i - 2 * k})") from None
 
     if cols[0][0] != 1:
         raise TableFormatError(f"origin count must be 1, got {cols[0][0]}")
     for i in range(1, max_i + 1):
-        prev_k_max = (i - 1) // 2
-        for k in range(i // 2 + 1):
-            from_above = cols[i - 1][k - 1] if k >= 1 else 0
-            from_below = cols[i - 1][k] if k <= prev_k_max else 0
-            if cols[i][k] != from_above + from_below:
-                raise TableFormatError(
-                    f"entry at ({i}, {i - 2 * k}) fails the recurrence: "
-                    f"{cols[i][k]} != {from_above} + {from_below}"
-                )
+        col, expected = cols[i], _next_column(cols[i - 1], i)
+        if col != expected:
+            k = next(k for k, pair in enumerate(zip(col, expected)) if pair[0] != pair[1])
+            padded = (0, *cols[i - 1], 0)
+            raise TableFormatError(
+                f"entry at ({i}, {i - 2 * k}) fails the recurrence: "
+                f"{col[k]} != {padded[k]} + {padded[k + 1]}"
+            )
     return DynamicsTable(max_i, tuple(cols))
 
 
@@ -172,6 +180,8 @@ def _parse_count(text: str) -> int:
     # str.isdigit also accepts non-ASCII digits such as "¹", which int() rejects.
     if not (text.isascii() and text.isdigit()):
         raise TableFormatError(f"count {text!r} is not a nonnegative decimal string")
+    if len(text) > 640:  # the lowest int/str limit Python allows
+        _check_str_digits(len(text))
     return int(text)
 
 
@@ -187,7 +197,7 @@ def table_from_csv(text: str) -> DynamicsTable:
         if len(row) != 5:
             raise TableFormatError(f"expected 5 fields per row, got {row!r}")
         try:
-            coords = [int(field_) for field_ in row[:4]]
+            coords = list(map(int, row[:4]))
         except ValueError as exc:
             raise TableFormatError(f"non-integer coordinate in row {row!r}") from exc
         records.append((*coords, _parse_count(row[4])))
@@ -201,7 +211,7 @@ def table_from_json(text: str) -> DynamicsTable:
     """Rebuild a table from :func:`table_to_json` output."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int/str digit limit
         raise TableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TableFormatError("top level must be an object")
@@ -220,14 +230,14 @@ def table_from_json(text: str) -> DynamicsTable:
         if not isinstance(entry, dict):
             raise TableFormatError(f"record must be an object, got {entry!r}")
         try:
-            coords = [entry[axis] for axis in ("i", "j", "n", "k")]
+            i, j, n, k = entry["i"], entry["j"], entry["n"], entry["k"]
             count_text = entry["count"]
         except KeyError as exc:
             raise TableFormatError(f"record missing field {exc}") from exc
-        for value in coords:
-            if type(value) is not int:
-                raise TableFormatError(f"coordinate {value!r} is not an integer")
+        if not type(i) is type(j) is type(n) is type(k) is int:
+            value = next(value for value in (i, j, n, k) if type(value) is not int)
+            raise TableFormatError(f"coordinate {value!r} is not an integer")
         if not isinstance(count_text, str):
             raise TableFormatError(f"count must be a decimal string, got {count_text!r}")
-        records.append((*coords, _parse_count(count_text)))
+        records.append((i, j, n, k, _parse_count(count_text)))
     return _table_from_records(records, max_i)

@@ -3,21 +3,15 @@
 Output is deterministic: the same :class:`DiagramSpec` always serializes to
 the same bytes, so emitted documents are safe to pin as golden files.
 Node labels are always read straight off a count table built for the spec;
-nothing is recomputed at draw time.
+nothing is recomputed at draw time.  Isolines are drawn through the nodes
+already placed: grouping them by one coordinate gives each isoline's points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import (
-    Isoline,
-    Node,
-    Plane,
-    nodes_on_isoline,
-    planarity_equation,
-    project,
-)
+from .coords import Isoline, Node, Plane, planarity_equation, project
 from .dynamics import DEFAULT_POSITION_CAP, build_table
 from .errors import DomainError
 from .paths import DyckWord, ProjectedPath, project_path, trace
@@ -112,14 +106,14 @@ def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
     for family in "ijnk":
         if family not in spec.isolines:
             continue
-        indices = sorted({getattr(placed_node.node, family) for placed_node in placed})
-        for index in indices:
-            iso = Isoline(family, index)
-            points = tuple(
-                project(node, plane) for node in nodes_on_isoline(iso, spec.max_i)
-            )
+        # Nodes are placed column by column, k ascending, so each group runs
+        # by rising position; read backwards, a column runs by rising j.
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for p in reversed(placed) if family == "i" else placed:
+            groups.setdefault(getattr(p.node, family), []).append((p.x, p.y))
+        for index, points in sorted(groups.items()):
             if len(points) >= 2:
-                isolines.append((iso, points))
+                isolines.append((Isoline(family, index), tuple(points)))
 
     path = None
     if spec.word is not None:

@@ -218,3 +218,39 @@ def test_iter_nodes_counts_columns():
     assert len(nodes) == sum(i // 2 + 1 for i in range(7))
     assert all(is_reachable(node.i, node.j) for node in nodes)
     assert nodes[0] == Node(0, 0, 0, 0)
+
+
+class TestNodeRejectionText:
+    """Each kind of invalid node keeps its NotANode text."""
+
+    @pytest.mark.parametrize(
+        "coords, text",
+        [
+            ((2.0, 0, 1, 1), "coordinate i must be an integer, got 2.0"),
+            ((2, 0, "1", 1), "coordinate n must be an integer, got '1'"),
+            ((True, 1, 1, 0), "coordinate i must be an integer, got True"),
+            ((1, 1, 1, False), "coordinate k must be an integer, got False"),
+            ((1, -1, 0, 1), "coordinate j must be nonnegative, got -1"),
+            ((0, 0, -1, 1), "coordinate n must be nonnegative, got -1"),
+            (
+                (MAX_COORD + 2, MAX_COORD + 2, MAX_COORD + 2, 0),
+                f"position {MAX_COORD + 2} exceeds the coordinate limit {MAX_COORD}",
+            ),
+            ((7, 3, 5, 3), "(7, 3, 5, 3) violates i = n + k, j = n - k"),
+        ],
+    )
+    def test_message(self, coords, text):
+        with pytest.raises(NotANode) as info:
+            Node(*coords)
+        assert str(info.value) == text
+
+    def test_int_subclass_accepted(self):
+        class Index(int):
+            pass
+
+        node = Node(Index(7), 3, Index(5), 2)
+        assert (node.i, node.j, node.n, node.k) == (7, 3, 5, 2)
+
+    def test_largest_position_accepted(self):
+        node = Node(MAX_COORD, MAX_COORD, MAX_COORD, 0)
+        assert node.i == MAX_COORD

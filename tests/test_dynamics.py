@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,7 @@ from dyck4d import (
     table_to_csv,
     table_to_json,
 )
-from dyck4d.dynamics import TABLE_FORMAT
+from dyck4d.dynamics import TABLE_FORMAT, DynamicsTable
 from dyck4d.errors import OutOfRange, ResourceLimit, TableFormatError
 
 
@@ -208,3 +210,137 @@ class TestSerialization:
             doc["entries"][1][field] = True
         with pytest.raises(TableFormatError):
             table_from_json(json.dumps(doc))
+
+
+def _reference_csv(table):
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["i", "j", "n", "k", "count"])
+    for node, value in table.items():
+        writer.writerow([node.i, node.j, node.n, node.k, str(value)])
+    return out.getvalue()
+
+
+def _reference_json(table):
+    import json
+
+    doc = {
+        "format": TABLE_FORMAT,
+        "max_i": table.max_i,
+        "entries": [
+            {"i": node.i, "j": node.j, "n": node.n, "k": node.k, "count": str(value)}
+            for node, value in table.items()
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _first_difference(got, want):
+    """None when the texts are equal, else the first differing line pair;
+    keeps a failure's report short where a full diff of megabytes would not."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        if a != b:
+            return number, a, b
+    return len(got_lines), len(want_lines)
+
+
+class TestWritersMatchStdlib:
+    """The column writers give the bytes csv.writer and json.dumps give."""
+
+    @pytest.mark.parametrize("max_i", [*range(41), 257])
+    def test_csv(self, max_i):
+        table = build_table(max_i)
+        assert _first_difference(table_to_csv(table), _reference_csv(table)) is None
+
+    @pytest.mark.parametrize("max_i", [*range(41), 257])
+    def test_json(self, max_i):
+        table = build_table(max_i)
+        assert _first_difference(table_to_json(table), _reference_json(table)) is None
+
+
+class TestRecurrenceRejection:
+    # Columns 3 and 4 are (1, 2) and (1, 3, 2), rising diagonal k ascending.
+    @pytest.mark.parametrize(
+        "row, tampered, text",
+        [
+            ("4,4,4,0,1", "4,4,4,0,5", "entry at (4, 4) fails the recurrence: 5 != 0 + 1"),
+            ("4,2,3,1,3", "4,2,3,1,7", "entry at (4, 2) fails the recurrence: 7 != 1 + 2"),
+            ("4,0,2,2,2", "4,0,2,2,9", "entry at (4, 0) fails the recurrence: 9 != 2 + 0"),
+        ],
+    )
+    def test_csv_tampered_entry(self, row, tampered, text):
+        original = table_to_csv(build_table(6))
+        assert f"\n{row}\n" in original
+        with pytest.raises(TableFormatError) as info:
+            table_from_csv(original.replace(f"\n{row}\n", f"\n{tampered}\n"))
+        assert str(info.value) == text
+
+    def test_json_tampered_entry(self):
+        import json
+
+        doc = json.loads(table_to_json(build_table(6)))
+        entry = next(e for e in doc["entries"] if (e["i"], e["k"]) == (4, 1))
+        entry["count"] = "7"
+        with pytest.raises(TableFormatError) as info:
+            table_from_json(json.dumps(doc))
+        assert str(info.value) == "entry at (4, 2) fails the recurrence: 7 != 1 + 2"
+
+    def test_tampered_origin(self):
+        with pytest.raises(TableFormatError) as info:
+            table_from_csv("i,j,n,k,count\n0,0,0,0,2\n")
+        assert str(info.value) == "origin count must be 1, got 2"
+
+    def test_bad_node_record_text(self):
+        with pytest.raises(TableFormatError) as info:
+            table_from_csv("i,j,n,k,count\n0,0,0,0,1\n1,1,1,1,1\n")
+        assert str(info.value) == (
+            "bad node record (1, 1, 1, 1): (1, 1, 1, 1) violates i = n + k, j = n - k"
+        )
+
+    def test_missing_entry_text(self):
+        lines = table_to_csv(build_table(3)).splitlines()
+        del lines[3]  # node (2, 2)
+        with pytest.raises(TableFormatError) as info:
+            table_from_csv("\n".join(lines) + "\n")
+        assert str(info.value) == "missing entry for node (2, 2)"
+
+
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < _STR_DIGITS < 5000, reason="needs an int/str digit limit below 5000"
+)
+
+
+@needs_digit_limit
+class TestDigitLimit:
+    """Counts past the interpreter's int/str digit limit raise ResourceLimit,
+    checked before any conversion."""
+
+    def test_csv_export(self):
+        with pytest.raises(ResourceLimit):
+            table_to_csv(DynamicsTable(0, ((10**5000,),)))
+
+    def test_json_export(self):
+        with pytest.raises(ResourceLimit):
+            table_to_json(DynamicsTable(0, ((10**5000,),)))
+
+    def test_csv_import(self):
+        with pytest.raises(ResourceLimit):
+            table_from_csv("i,j,n,k,count\n0,0,0,0," + "1" * 5000 + "\n")
+
+    def test_json_import_of_long_integer(self):
+        # A bare JSON number this long fits no table field; json.loads itself
+        # refuses to convert it.
+        text = '{"format": "dyck4d-table/1", "max_i": ' + "1" * 5000 + ', "entries": []}'
+        with pytest.raises(TableFormatError):
+            table_from_json(text)
+
+    def test_import_at_the_limit_reaches_validation(self):
+        with pytest.raises(TableFormatError, match="origin count must be 1"):
+            table_from_csv("i,j,n,k,count\n0,0,0,0," + "1" * _STR_DIGITS + "\n")

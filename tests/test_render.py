@@ -14,6 +14,7 @@ from dyck4d import (
     layout,
     parse_word,
 )
+from dyck4d.coords import PLANES_2D, PLANES_3D, nodes_on_isoline, project
 from dyck4d.errors import DomainError, ResourceLimit
 from dyck4d.render import HIGHLIGHT_COLOR, ISOLINE_COLORS
 
@@ -154,3 +155,29 @@ def test_emit_honors_spec_format_and_override():
     assert emit(diagram, "text").startswith("j\n")
     with pytest.raises(DomainError):
         emit(diagram, "pdf")
+
+
+def _reference_isolines(spec):
+    """Isolines as completed node by node through nodes_on_isoline."""
+    plane = Plane(spec.plane.axes[:2])
+    placed = list(build_table(spec.max_i).items())
+    isolines = []
+    for family in "ijnk":
+        if family not in spec.isolines:
+            continue
+        for index in sorted({getattr(node, family) for node, _ in placed}):
+            iso = Isoline(family, index)
+            points = tuple(
+                project(node, plane) for node in nodes_on_isoline(iso, spec.max_i)
+            )
+            if len(points) >= 2:
+                isolines.append((iso, points))
+    return tuple(isolines)
+
+
+@pytest.mark.parametrize("plane", PLANES_2D + PLANES_3D, ids=lambda p: p.name)
+def test_isolines_match_node_completion(plane):
+    for max_i in range(16):
+        for families in ("ijnk", "i", "kn", ""):
+            spec = DiagramSpec(plane=plane, max_i=max_i, isolines=frozenset(families))
+            assert layout(spec).isolines == _reference_isolines(spec)
