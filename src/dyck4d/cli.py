@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence, TextIO
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
@@ -56,6 +57,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--max-i", type=int, required=True, dest="max_i")
+    p.add_argument("--json", action="store_true",
+                   help="one record per check: name, passed, detail, seconds")
 
     p = sub.add_parser("project", help="project a word's path onto a plane")
     p.add_argument("--plane", required=True)
@@ -112,11 +115,12 @@ def _cmd_decompose(args, out: TextIO) -> int:
 
 def _cmd_verify(args, out: TextIO) -> int:
     results = run_checks(args.max_i)
-    failures = 0
+    failures = sum(not result.passed for result in results)
+    if args.json:
+        out.write(json.dumps([asdict(result) for result in results], indent=2) + "\n")
+        return 0 if failures == 0 else 1
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        if not result.passed:
-            failures += 1
         print(f"{status} {result.name}: {result.detail}", file=out)
     print(f"{len(results) - failures}/{len(results)} checks passed", file=out)
     return 0 if failures == 0 else 1

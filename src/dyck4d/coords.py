@@ -115,14 +115,21 @@ def _diag_from_ij(i: int, j: int) -> tuple[int, int]:
 
 
 # Every two-axis pair determines (n, k); the remaining coordinates follow
-# from i = n + k, j = n - k.
+# from i = n + k, j = n - k.  Keyed by the plane's ordered axes, each entry
+# takes the plane's coordinates (a, b) in that order.
 _COMPLETIONS = {
-    frozenset("ij"): lambda c: _diag_from_ij(c["i"], c["j"]),
-    frozenset("in"): lambda c: (c["n"], c["i"] - c["n"]),
-    frozenset("ik"): lambda c: (c["i"] - c["k"], c["k"]),
-    frozenset("jn"): lambda c: (c["n"], c["n"] - c["j"]),
-    frozenset("jk"): lambda c: (c["j"] + c["k"], c["k"]),
-    frozenset("nk"): lambda c: (c["n"], c["k"]),
+    ("i", "j"): _diag_from_ij,
+    ("j", "i"): lambda j, i: _diag_from_ij(i, j),
+    ("i", "n"): lambda i, n: (n, i - n),
+    ("n", "i"): lambda n, i: (n, i - n),
+    ("i", "k"): lambda i, k: (i - k, k),
+    ("k", "i"): lambda k, i: (i - k, k),
+    ("j", "n"): lambda j, n: (n, n - j),
+    ("n", "j"): lambda n, j: (n, n - j),
+    ("j", "k"): lambda j, k: (j + k, k),
+    ("k", "j"): lambda k, j: (j + k, k),
+    ("n", "k"): lambda n, k: (n, k),
+    ("k", "n"): lambda k, n: (n, k),
 }
 
 
@@ -134,8 +141,7 @@ def node_from(plane: Plane, a: int, b: int) -> Node:
     """
     if plane.is_spatial:
         raise ValueError(f"node_from needs a two-axis plane, got {plane.name!r}")
-    given = dict(zip(plane.axes, (a, b)))
-    n, k = _COMPLETIONS[frozenset(plane.axes)](given)
+    n, k = _COMPLETIONS[tuple(plane.axes)](a, b)
     return Node(n + k, n - k, n, k)
 
 
@@ -146,7 +152,7 @@ def is_reachable(i: int, j: int) -> bool:
 
 def project(node: Node, plane: Plane) -> tuple[int, ...]:
     """The node's coordinates along the plane's axes, in the plane's order."""
-    return tuple(getattr(node, axis) for axis in plane.axes)
+    return tuple([getattr(node, axis) for axis in plane.axes])
 
 
 def isolines_through(node: Node) -> tuple[Isoline, Isoline, Isoline, Isoline]:

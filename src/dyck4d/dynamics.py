@@ -106,10 +106,15 @@ def _check_str_digits(digits: int) -> None:
         raise ResourceLimit(f"a count of up to {digits} digits is beyond the int/str limit {limit}")
 
 
+def _check_count_digits(largest: int) -> None:
+    """Raise ResourceLimit before str() of any count up to ``largest`` fails."""
+    # A count of b bits has at most floor(b * log10(2)) + 1 decimal digits.
+    _check_str_digits(math.floor(largest.bit_length() * math.log10(2)) + 1)
+
+
 def _format_entries(table: DynamicsTable, fmt: str) -> list[str]:
     """``fmt.format(i, j, n, k, count)`` for every entry, in table order."""
-    # A count of b bits has at most floor(b * log10(2)) + 1 decimal digits.
-    _check_str_digits(math.floor(max(map(max, table._cols)).bit_length() * math.log10(2)) + 1)
+    _check_count_digits(max(map(max, table._cols)))
     cols = enumerate(table._cols)
     return [fmt.format(i, i - 2 * k, i - k, k, v) for i, col in cols for k, v in enumerate(col)]
 

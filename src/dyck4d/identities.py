@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_POSITION_CAP, build_table, catalan
+from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, build_table, catalan
 from .errors import DomainError, DyckError, ResourceLimit
 
 
@@ -87,11 +87,17 @@ class Decomposition:
         return sum(t * t for t in self.terms)
 
     def to_json_dict(self) -> dict:
-        """JSON record with all counts as decimal strings."""
+        """JSON record with all counts as decimal strings.
+
+        Raises :class:`ResourceLimit` when the squared sum, which holds
+        every term's square, has more digits than int/str conversion allows.
+        """
+        total = self.sum_of_squares
+        _check_count_digits(total)
         return {
             "v": self.v,
             "terms": [str(t) for t in self.terms],
-            "catalan": str(self.sum_of_squares),
+            "catalan": str(total),
         }
 
 

@@ -3,7 +3,8 @@
 The enumeration and counting functions here are deliberately naive: they
 scan raw step sequences and keep the ones whose every prefix stays at or
 above ground level.  They share no logic with the recurrence tables they
-exist to cross-check.
+exist to cross-check.  The counter scans a column once and tallies every
+final height in that one pass; enumeration walks an explicit stack.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ _MOVE_KINDS = {
     (1, 0): "right",
     (0, 1): "up",
     (0, -1): "down",
+    (-1, 0): "left",
+    (-1, 1): "up-left",
 }
 
 
@@ -145,7 +148,8 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     coordinate deltas.
 
     A move that does not advance the horizontal axis shows up as a vertical
-    break in the drawn polyline; which steps do that depends on the plane.
+    break in the drawn polyline, and on the j-first planes (ji, jn, jk) a
+    downstep runs back to the left; which steps do that depends on the plane.
     """
     if plane.is_spatial:
         raise ValueError(f"project_path needs a two-axis plane, got {plane.name!r}")
@@ -172,26 +176,23 @@ def enumerate_words(m: int) -> Iterator[DyckWord]:
 
 
 def _generate(m: int) -> Iterator[DyckWord]:
-    def extend(prefix: list[str], ups: int, downs: int) -> Iterator[str]:
+    # Depth-first over (prefix, ups, downs); D is pushed before U so that the
+    # U branch pops first and words come out in lexicographic order.
+    stack = [("", 0, 0)]
+    while stack:
+        steps, ups, downs = stack.pop()
         if downs == m:
-            yield "".join(prefix)
-            return
-        if ups < m:
-            prefix.append("U")
-            yield from extend(prefix, ups + 1, downs)
-            prefix.pop()
+            yield DyckWord(steps)
+            continue
         if downs < ups:
-            prefix.append("D")
-            yield from extend(prefix, ups, downs + 1)
-            prefix.pop()
-
-    for steps in extend([], 0, 0):
-        yield DyckWord(steps)
+            stack.append((steps + "D", ups, downs + 1))
+        if ups < m:
+            stack.append((steps + "U", ups + 1, downs))
 
 
-def count_paths_to(i: int, j: int) -> int:
-    """Count valid step sequences of length i ending at height j, by scanning
-    all 2**i raw sequences and filtering on the prefix condition.
+def count_paths_by_height(i: int) -> tuple[int, ...]:
+    """Count valid step sequences of length i by final height 0..i, in one
+    scan of all 2**i raw sequences filtered on the prefix condition.
 
     This is the independent oracle: no recurrence, no tables, no closed
     forms.  Bit b of the scan mask set means step b is an upstep.
@@ -200,7 +201,7 @@ def count_paths_to(i: int, j: int) -> int:
         raise ValueError(f"position must be nonnegative, got {i}")
     if i > COUNT_SCAN_CAP:
         raise ResourceLimit(f"position {i} exceeds the scan cap of {COUNT_SCAN_CAP}")
-    total = 0
+    counts = [0] * (i + 1)
     for mask in range(1 << i):
         height = 0
         for bit in range(i):
@@ -208,9 +209,15 @@ def count_paths_to(i: int, j: int) -> int:
             if height < 0:
                 break
         else:
-            if height == j:
-                total += 1
-    return total
+            counts[height] += 1
+    return tuple(counts)
+
+
+def count_paths_to(i: int, j: int) -> int:
+    """Count valid step sequences of length i ending at height j: one entry
+    of :func:`count_paths_by_height`, zero for j outside 0..i."""
+    counts = count_paths_by_height(i)
+    return counts[j] if 0 <= j <= i else 0
 
 
 def trace_to_csv(path: PathTrace) -> str:

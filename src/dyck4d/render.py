@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Isoline, Node, Plane, planarity_equation, project
-from .dynamics import DEFAULT_POSITION_CAP, build_table
+from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, build_table
 from .errors import DomainError
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
@@ -85,6 +85,8 @@ def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
     A three-axis plane is drawn as its first two axes: every three-axis
     view lies exactly on one plane, so the third axis carries no extra
     information and the diagram records which equation eliminated it.
+    Raises :class:`ResourceLimit` when a label would have more digits than
+    int/str conversion allows.
     """
     plane = spec.plane
     note = None
@@ -97,6 +99,7 @@ def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
         plane = flat
 
     table = build_table(spec.max_i, cap=cap)
+    _check_count_digits(max(map(max, table._cols)))
     placed = tuple(
         PlacedNode(node, *project(node, plane), str(value))
         for node, value in table.items()

@@ -1,19 +1,23 @@
 """Cross-checks wiring every identity and invariant together.
 
 Each check runs within a caller-supplied position bound and reports pass or
-fail with a short detail string; the command line's ``verify`` subcommand
-prints one line per check.  Checks that compare against the brute-force
-scanners clamp themselves to the scanners' hard caps.
+fail with a short detail string and the seconds it took; the command line's
+``verify`` subcommand prints one line per check, or one JSON record per
+check with ``--json``.  Every check receives the count table built once for
+the bound; checks that need another size build their own.  Checks that
+compare against the brute-force scanners clamp themselves to the scanners'
+hard caps.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import coords, dynamics, identities, paths, render
-from .errors import NotANode
+from .errors import NotANode, TableFormatError
 
 GEOMETRY_SEED = 427531
 GEOMETRY_WORDS = 1000
@@ -27,6 +31,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    # Wall time of the check alone; the shared table's build is in no check.
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:
@@ -44,7 +50,7 @@ def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:
     return paths.DyckWord("".join(steps))
 
 
-def _check_node_equations(bound: int) -> CheckResult:
+def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     total = 0
     for node in coords.iter_nodes(bound):
         total += 1
@@ -61,7 +67,7 @@ def _check_node_equations(bound: int) -> CheckResult:
     return CheckResult("node-equations", True, f"{total} nodes with i <= {bound}")
 
 
-def _check_reachability(bound: int) -> CheckResult:
+def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     checked = 0
     for i in range(-2, bound + 1):
         for j in range(-2, i + 3):
@@ -79,7 +85,7 @@ def _check_reachability(bound: int) -> CheckResult:
     return CheckResult("reachability", True, f"{checked} (i, j) pairs")
 
 
-def _check_roundtrip(bound: int) -> CheckResult:
+def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_2D:
@@ -92,7 +98,7 @@ def _check_roundtrip(bound: int) -> CheckResult:
     return CheckResult("projection-roundtrip", True, f"{total} projections")
 
 
-def _check_planarity(bound: int) -> CheckResult:
+def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_3D:
@@ -105,8 +111,7 @@ def _check_planarity(bound: int) -> CheckResult:
     return CheckResult("planarity", True, f"{total} residuals, all zero")
 
 
-def _check_recurrence(bound: int) -> CheckResult:
-    table = dynamics.build_table(bound)
+def _check_recurrence(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     for node in coords.iter_nodes(bound):
         if node.i == 0:
             continue
@@ -118,8 +123,7 @@ def _check_recurrence(bound: int) -> CheckResult:
     return CheckResult("recurrence-closure", True, f"{len(table)} entries, i <= {bound}")
 
 
-def _check_four_coordinate_form(bound: int) -> CheckResult:
-    table = dynamics.build_table(bound)
+def _check_four_coordinate_form(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     for node in coords.iter_nodes(bound):
         value = table.count_node(node)
         if value != table.count(node.i, node.j):
@@ -144,38 +148,36 @@ def _check_four_coordinate_form(bound: int) -> CheckResult:
     return CheckResult("four-coordinate-form", True, f"all nodes with i <= {bound}")
 
 
-def _check_bottom_rows(bound: int) -> CheckResult:
-    table = dynamics.build_table(bound)
+def _check_bottom_rows(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     for n in range(1, bound // 2 + 1):
         if table.count(2 * n, 0) != table.count(2 * n - 1, 1):
             return CheckResult("bottom-rows", False, f"rows disagree at n = {n}")
     return CheckResult("bottom-rows", True, f"n <= {bound // 2}")
 
 
-def _check_column_tops(bound: int) -> CheckResult:
-    table = dynamics.build_table(bound)
+def _check_column_tops(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     for i in range(bound + 1):
         if table.count(i, i) != 1:
             return CheckResult("column-tops", False, f"count({i}, {i}) != 1")
     return CheckResult("column-tops", True, f"i <= {bound}")
 
 
-def _check_oracle(bound: int) -> CheckResult:
+def _check_oracle(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     scan_bound = min(bound, paths.COUNT_SCAN_CAP)
     table = dynamics.build_table(scan_bound)
     positions = 0
-    for node in coords.iter_nodes(scan_bound):
-        positions += 1
-        if paths.count_paths_to(node.i, node.j) != table.count(node.i, node.j):
-            return CheckResult(
-                "oracle-equivalence", False,
-                f"brute force disagrees at ({node.i}, {node.j})",
-            )
+    for i in range(scan_bound + 1):
+        by_height = paths.count_paths_by_height(i)
+        for j in range(i, -1, -2):  # the order of iter_nodes
+            positions += 1
+            if by_height[j] != table.count(i, j):
+                return CheckResult(
+                    "oracle-equivalence", False, f"brute force disagrees at ({i}, {j})"
+                )
     return CheckResult("oracle-equivalence", True, f"{positions} positions, i <= {scan_bound}")
 
 
-def _check_square_terms(bound: int) -> CheckResult:
-    table = dynamics.build_table(bound)
+def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     total = 0
     for i in range(bound + 1):
         for k in range(i // 2 + 1):
@@ -188,9 +190,8 @@ def _check_square_terms(bound: int) -> CheckResult:
     return CheckResult("square-terms", True, f"{total} terms, i <= {bound}")
 
 
-def _check_convolution(bound: int) -> CheckResult:
+def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
     # Entry j = 0 of row n is compared with count(2n, 0), the Catalan number.
-    table = dynamics.build_table(bound)
     for n in range(bound // 2 + 1):
         for j in range(n + 1):
             if identities.convolution(n, j) != table.count(2 * n - j, j):
@@ -201,7 +202,7 @@ def _check_convolution(bound: int) -> CheckResult:
     return CheckResult("convolution-matrix", True, f"n <= {bound // 2}")
 
 
-def _check_sum_of_squares(bound: int) -> CheckResult:
+def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     # Catalan numbers up to column `bound` sit at positions up to twice it.
     table = dynamics.build_table(
         2 * bound, cap=max(dynamics.DEFAULT_POSITION_CAP, 2 * bound)
@@ -213,7 +214,7 @@ def _check_sum_of_squares(bound: int) -> CheckResult:
     return CheckResult("sum-of-squares", True, f"v <= {bound}")
 
 
-def _check_special_terms(bound: int) -> CheckResult:
+def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     checked = 0
     for v in range(bound + 1):
         for k in {0, 1, 2, v // 2}:
@@ -230,7 +231,7 @@ def _check_special_terms(bound: int) -> CheckResult:
     return CheckResult("special-terms", True, f"{checked} special terms, v <= {bound}")
 
 
-def _check_decomposition(bound: int) -> CheckResult:
+def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     limit = min(bound, 40)
     table = dynamics.build_table(2 * limit)
     for v in range(limit + 1):
@@ -244,7 +245,7 @@ def _check_decomposition(bound: int) -> CheckResult:
     return CheckResult("decomposition", True, f"v <= {limit}")
 
 
-def _check_path_geometry(bound: int) -> CheckResult:
+def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     rng = random.Random(GEOMETRY_SEED)
     size_cap = min(bound // 2, 12)
     for _ in range(GEOMETRY_WORDS):
@@ -270,7 +271,7 @@ def _check_path_geometry(bound: int) -> CheckResult:
     )
 
 
-def _check_enumeration(bound: int) -> CheckResult:
+def _check_enumeration(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     limit = min(bound // 2, 10)
     table = dynamics.build_table(2 * limit)
     for m in range(limit + 1):
@@ -288,16 +289,19 @@ def _check_enumeration(bound: int) -> CheckResult:
     return CheckResult("enumeration-count", True, f"m <= {limit}")
 
 
-def _check_serialization(bound: int) -> CheckResult:
+def _check_serialization(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     table = dynamics.build_table(min(bound, 32))
-    if dynamics.table_from_csv(dynamics.table_to_csv(table)) != table:
-        return CheckResult("table-serialization", False, "CSV round-trip changed the table")
-    if dynamics.table_from_json(dynamics.table_to_json(table)) != table:
-        return CheckResult("table-serialization", False, "JSON round-trip changed the table")
+    try:
+        if dynamics.table_from_csv(dynamics.table_to_csv(table)) != table:
+            return CheckResult("table-serialization", False, "CSV round-trip changed the table")
+        if dynamics.table_from_json(dynamics.table_to_json(table)) != table:
+            return CheckResult("table-serialization", False, "JSON round-trip changed the table")
+    except TableFormatError as exc:  # import validation caught a wrong build
+        return CheckResult("table-serialization", False, f"import rejected the export: {exc}")
     return CheckResult("table-serialization", True, f"CSV and JSON, i <= {table.max_i}")
 
 
-def _check_render_determinism(bound: int) -> CheckResult:
+def _check_render_determinism(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     spec = render.DiagramSpec(plane=_IJ, max_i=min(bound, 8), fmt="svg")
     first = render.emit(render.layout(spec))
     second = render.emit(render.layout(spec))
@@ -313,7 +317,7 @@ def _check_render_determinism(bound: int) -> CheckResult:
     return CheckResult("render-determinism", True, f"ij diagram, i <= {spec.max_i}")
 
 
-def _check_kj_coverage(bound: int) -> CheckResult:
+def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
     limit = min(bound, 12)
     diagram = render.layout(render.DiagramSpec(plane=coords.Plane.parse("kj"), max_i=limit))
     placed = {(p.x, p.y): p.label for p in diagram.nodes}
@@ -327,7 +331,7 @@ def _check_kj_coverage(bound: int) -> CheckResult:
     return CheckResult("kj-coverage", True, f"{len(placed)} lattice points, i <= {limit}")
 
 
-_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
+_CHECKS: tuple[Callable[[int, dynamics.DynamicsTable], CheckResult], ...] = (
     _check_node_equations,
     _check_reachability,
     _check_roundtrip,
@@ -351,7 +355,11 @@ _CHECKS: tuple[Callable[[int], CheckResult], ...] = (
 
 
 def run_checks(max_i: int = 32) -> list[CheckResult]:
-    """Run every invariant check within the given position bound."""
-    if max_i < 0:
-        raise ValueError(f"max_i must be nonnegative, got {max_i}")
-    return [check(max_i) for check in _CHECKS]
+    """Run every invariant check within the given position bound, timing each."""
+    table = dynamics.build_table(max_i)  # rejects a negative bound
+    results = []
+    for check in _CHECKS:
+        start = time.perf_counter()
+        result = check(max_i, table)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

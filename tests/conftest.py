@@ -1,6 +1,14 @@
 import random
+import sys
+
+import pytest
 
 from dyck4d import DyckWord
+
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < STR_DIGITS < 5000, reason="needs an int/str digit limit below 5000"
+)
 
 
 def random_valid_word(rng: random.Random, semilength: int) -> DyckWord:

@@ -1,6 +1,7 @@
 import io
 import json
 
+from dyck4d import CheckResult, cli
 from dyck4d.cli import run
 from dyck4d.dynamics import TABLE_FORMAT
 
@@ -108,6 +109,26 @@ class TestVerify:
         assert "oracle-equivalence" in names
         assert "sum-of-squares" in names
         assert len(names) == len(set(names))
+
+    def test_json_records(self):
+        code, out, _ = invoke("verify", "--max-i", "12", "--json")
+        _, text, _ = invoke("verify", "--max-i", "12")
+        records = json.loads(out)
+        assert code == 0
+        assert len(records) == 19
+        assert all(list(r) == ["name", "passed", "detail", "seconds"] for r in records)
+        assert all(r["passed"] and r["seconds"] >= 0 for r in records)
+        lines = [f"PASS {r['name']}: {r['detail']}" for r in records]
+        assert text.splitlines()[:-1] == lines
+
+    def test_json_failure_exit_code(self, monkeypatch):
+        failed = CheckResult("column-tops", False, "count(3, 3) != 1", seconds=0.25)
+        monkeypatch.setattr(cli, "run_checks", lambda max_i: [failed])
+        code, out, _ = invoke("verify", "--max-i", "3", "--json")
+        assert code == 1
+        assert json.loads(out) == [
+            {"name": "column-tops", "passed": False, "detail": "count(3, 3) != 1", "seconds": 0.25}
+        ]
 
 
 class TestProject:

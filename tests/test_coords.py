@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dyck4d import (
+    AXES,
     MAX_COORD,
     PLANES_2D,
     PLANES_3D,
@@ -254,3 +257,42 @@ class TestNodeRejectionText:
     def test_largest_position_accepted(self):
         node = Node(MAX_COORD, MAX_COORD, MAX_COORD, 0)
         assert node.i == MAX_COORD
+
+
+ORDERED_PAIRS = [a + b for a, b in itertools.permutations(AXES, 2)]
+
+
+class TestOrderedPairs:
+    @pytest.mark.parametrize("name", ORDERED_PAIRS)
+    def test_round_trip(self, name):
+        plane = Plane.parse(name)
+        for node in iter_nodes(30):
+            assert node_from(plane, *project(node, plane)) == node
+
+    def test_direct_construction(self):
+        for axes in (("j", "i"), ["j", "i"]):
+            plane = Plane(axes)
+            assert project(Node(7, 3, 5, 2), plane) == (3, 7)
+            assert node_from(plane, 3, 7) == Node(7, 3, 5, 2)
+
+    @pytest.mark.parametrize(
+        "name, a, b, text",
+        [
+            ("ij", 6, 1, "(i=6, j=1) has odd coordinate sum, no node there"),
+            ("ji", 6, 1, "(i=1, j=6) has odd coordinate sum, no node there"),
+            ("in", 3, 5, "coordinate k must be nonnegative, got -2"),
+            ("ni", 6, 1, "coordinate k must be nonnegative, got -5"),
+            ("ik", 3, 5, "coordinate j must be nonnegative, got -7"),
+            ("ki", 3, 5, "coordinate j must be nonnegative, got -1"),
+            ("jn", 6, 1, "coordinate i must be nonnegative, got -4"),
+            ("nj", 3, 5, "coordinate k must be nonnegative, got -2"),
+            ("jk", -1, 0, "coordinate i must be nonnegative, got -1"),
+            ("kj", -1, 0, "coordinate i must be nonnegative, got -2"),
+            ("nk", 3, 5, "coordinate j must be nonnegative, got -2"),
+            ("kn", 6, 1, "coordinate j must be nonnegative, got -5"),
+        ],
+    )
+    def test_rejection_messages(self, name, a, b, text):
+        with pytest.raises(NotANode) as info:
+            node_from(Plane.parse(name), a, b)
+        assert str(info.value) == text

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +13,8 @@ from dyck4d import (
 )
 from dyck4d.dynamics import TABLE_FORMAT, DynamicsTable
 from dyck4d.errors import OutOfRange, ResourceLimit, TableFormatError
+
+from conftest import STR_DIGITS, needs_digit_limit
 
 
 class TestBuildTable:
@@ -311,12 +311,6 @@ class TestRecurrenceRejection:
         assert str(info.value) == "missing entry for node (2, 2)"
 
 
-_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-needs_digit_limit = pytest.mark.skipif(
-    not 0 < _STR_DIGITS < 5000, reason="needs an int/str digit limit below 5000"
-)
-
-
 @needs_digit_limit
 class TestDigitLimit:
     """Counts past the interpreter's int/str digit limit raise ResourceLimit,
@@ -343,4 +337,4 @@ class TestDigitLimit:
 
     def test_import_at_the_limit_reaches_validation(self):
         with pytest.raises(TableFormatError, match="origin count must be 1"):
-            table_from_csv("i,j,n,k,count\n0,0,0,0," + "1" * _STR_DIGITS + "\n")
+            table_from_csv("i,j,n,k,count\n0,0,0,0," + "1" * STR_DIGITS + "\n")

@@ -15,6 +15,8 @@ from dyck4d import (
 )
 from dyck4d.errors import DomainError, ResourceLimit
 
+from conftest import needs_digit_limit
+
 
 class TestBinomial:
     @pytest.mark.parametrize(
@@ -154,3 +156,9 @@ class TestDecomposition:
     def test_value_type(self):
         dec = Decomposition(2, (1, 1))
         assert dec.sum_of_squares == 2
+
+
+@needs_digit_limit
+def test_json_record_past_digit_limit():
+    with pytest.raises(ResourceLimit):
+        Decomposition(0, (10**5000,)).to_json_dict()

@@ -1,15 +1,20 @@
 import functools
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dyck4d
+from dyck4d import dynamics
 from dyck4d import (
     DyckWord,
     Node,
     Plane,
     build_table,
     catalan,
+    count_paths_by_height,
     count_paths_to,
     enumerate_words,
     format_word,
@@ -225,3 +230,72 @@ class TestBruteForceCounter:
             count_paths_to(15, 1)
         with pytest.raises(ValueError):
             count_paths_to(-1, 0)
+
+
+def _naive_count(i: int, j: int) -> int:
+    """One full scan per (i, j), as the counter worked before it tallied by height."""
+    return sum(
+        1
+        for steps in itertools.product((1, -1), repeat=i)
+        if min(itertools.accumulate(steps, initial=0)) >= 0 and sum(steps) == j
+    )
+
+
+class TestHeightScan:
+    @pytest.mark.parametrize("i", range(13))
+    def test_matches_naive_scan(self, i):
+        assert count_paths_by_height(i) == tuple(_naive_count(i, j) for j in range(i + 1))
+
+    @pytest.mark.parametrize(
+        "i, j, expected",
+        [(4, -2, 0), (4, -1, 0), (4, 5, 0), (4, 6, 0), (5, 2, 0), (6, 3, 0), (6, 6, 1), (0, 0, 1)],
+    )
+    def test_point_counts_at_the_edges(self, i, j, expected):
+        assert count_paths_to(i, j) == expected
+
+    def test_errors_unchanged(self):
+        with pytest.raises(ResourceLimit, match=r"^position 15 exceeds the scan cap of 14$"):
+            count_paths_to(15, 1)
+        with pytest.raises(ResourceLimit):
+            count_paths_by_height(15)
+        with pytest.raises(ValueError, match=r"^position must be nonnegative, got -1$"):
+            count_paths_to(-1, 0)
+        with pytest.raises(ValueError):
+            count_paths_by_height(-1)
+
+    def test_touches_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the brute-force scan built a table")
+
+        monkeypatch.setattr(dynamics, "build_table", refuse)
+        monkeypatch.setattr(dyck4d, "build_table", refuse)
+        # Every valid prefix of length 12 ends at some height: C(12, 6) of them.
+        assert sum(count_paths_by_height(12)) == math.comb(12, 6)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_enumeration_matches_filtered_product(m):
+    def valid(steps):
+        heights = itertools.accumulate(1 if s == "U" else -1 for s in steps)
+        return min(heights, default=0) >= 0 and steps.count("U") == m
+
+    expected = ["".join(steps) for steps in itertools.product("UD", repeat=2 * m)]
+    assert [w.steps for w in enumerate_words(m)] == [s for s in expected if valid(s)]
+
+
+# Move kinds of the single arch "()" (an upstep, then a downstep) on every
+# ordered axis pair.
+_ARCH_KINDS = {
+    "ij": ["up-right", "down-right"], "ji": ["up-right", "up-left"],
+    "in": ["up-right", "right"], "ni": ["up-right", "up"],
+    "ik": ["right", "up-right"], "ki": ["up", "up-right"],
+    "jn": ["up-right", "left"], "nj": ["up-right", "down"],
+    "jk": ["right", "up-left"], "kj": ["up", "down-right"],
+    "nk": ["right", "up"], "kn": ["up", "right"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARCH_KINDS))
+def test_every_axis_order_names_its_moves(name):
+    flat = project_path(trace(parse_word("()")), Plane.parse(name))
+    assert [move.kind for move in flat.moves] == _ARCH_KINDS[name]

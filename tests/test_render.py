@@ -14,9 +14,13 @@ from dyck4d import (
     layout,
     parse_word,
 )
+from dyck4d import render
 from dyck4d.coords import PLANES_2D, PLANES_3D, nodes_on_isoline, project
+from dyck4d.dynamics import DynamicsTable
 from dyck4d.errors import DomainError, ResourceLimit
 from dyck4d.render import HIGHLIGHT_COLOR, ISOLINE_COLORS
+
+from conftest import needs_digit_limit
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,3 +185,17 @@ def test_isolines_match_node_completion(plane):
         for families in ("ijnk", "i", "kn", ""):
             spec = DiagramSpec(plane=plane, max_i=max_i, isolines=frozenset(families))
             assert layout(spec).isolines == _reference_isolines(spec)
+
+
+@needs_digit_limit
+def test_labels_past_digit_limit(monkeypatch):
+    # A label is str() of its count; the check must come before any conversion.
+    monkeypatch.setattr(render, "build_table", lambda max_i, cap: DynamicsTable(0, ((10**5000,),)))
+    with pytest.raises(ResourceLimit):
+        layout(DiagramSpec(plane=IJ, max_i=0))
+
+
+def test_word_on_every_axis_order():
+    # jnk flattens to jn, where a downstep moves left.
+    diagram = layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4, word=parse_word("()()")))
+    assert [move.kind for move in diagram.path.moves] == ["up-right", "left"] * 2

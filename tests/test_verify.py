@@ -1,0 +1,59 @@
+import pytest
+
+from dyck4d import CheckResult, dynamics, run_checks
+from dyck4d.dynamics import DynamicsTable
+
+
+def test_every_check_is_timed():
+    results = run_checks(10)
+    assert len(results) == 19
+    assert len({r.name for r in results}) == 19
+    assert all(r.passed for r in results)
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
+
+
+def test_seconds_do_not_affect_equality():
+    assert CheckResult("x", True, "d", seconds=1.5) == CheckResult("x", True, "d")
+
+
+def test_rejects_negative_bound():
+    with pytest.raises(ValueError, match=r"^max_i must be nonnegative, got -1$"):
+        run_checks(-1)
+
+
+def test_table_for_the_bound_is_built_once(monkeypatch):
+    # No check that builds its own table asks for 50 positions.
+    sizes = []
+    real = dynamics.build_table
+
+    def counting(max_i, **kwargs):
+        sizes.append(max_i)
+        return real(max_i, **kwargs)
+
+    monkeypatch.setattr(dynamics, "build_table", counting)
+    run_checks(50)
+    assert sizes.count(50) == 1
+
+
+def test_bumped_count_fails_oracle_and_recurrence(monkeypatch):
+    real = dynamics.build_table
+
+    def tampered(max_i, **kwargs):
+        table = real(max_i, **kwargs)
+        if max_i < 5:
+            return table
+        cols = list(table._cols)
+        cols[5] = (cols[5][0], cols[5][1] + 1, cols[5][2] + 1)  # count(5, 3) and count(5, 1)
+        return DynamicsTable(table.max_i, tuple(cols))
+
+    monkeypatch.setattr(dynamics, "build_table", tampered)
+    results = {r.name: r for r in run_checks(14)}
+    # Each check reports the first mismatch in column order, k ascending.
+    assert not results["oracle-equivalence"].passed
+    assert results["oracle-equivalence"].detail == "brute force disagrees at (5, 3)"
+    assert not results["recurrence-closure"].passed
+    assert results["recurrence-closure"].detail == "recurrence fails at (5, 3)"
+    # The importer rejects the wrong export; the check reports it instead of raising.
+    assert results["table-serialization"].detail == (
+        "import rejected the export: entry at (5, 3) fails the recurrence: 5 != 1 + 3"
+    )
