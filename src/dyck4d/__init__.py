@@ -5,139 +5,100 @@ enumeration, and deterministic diagram rendering.
 Every identity has two independent routes (recurrence tables vs binomial
 closed forms vs brute-force scans), and the ``verify`` machinery runs them
 against each other.
+
+The public names below are loaded on first use (PEP 562): ``import dyck4d``
+imports no submodule, and reading ``dyck4d.run_checks`` imports
+``dyck4d.verify`` (with what it needs) and binds the name here for later
+reads.  A query that never touches paths, rendering or verification never
+pays for loading them.
 """
 
-from .coords import (
-    AXES,
-    MAX_COORD,
-    PLANES_2D,
-    PLANES_3D,
-    Isoline,
-    Node,
-    Plane,
-    is_reachable,
-    isolines_through,
-    iter_nodes,
-    node_from,
-    nodes_on_isoline,
-    planarity_equation,
-    planarity_residual,
-    project,
-)
-from .dynamics import (
-    DEFAULT_POSITION_CAP,
-    TABLE_FORMAT,
-    DynamicsTable,
-    build_table,
-    catalan,
-    table_from_csv,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
-)
-from .errors import (
-    DomainError,
-    DyckError,
-    InvalidCharacter,
-    NotANode,
-    OutOfRange,
-    PrefixViolation,
-    ResourceLimit,
-    TableFormatError,
-)
-from .identities import (
-    Decomposition,
-    binomial,
-    convolution,
-    decompose_catalan,
-    square_term,
-    square_term_special,
-)
-from .paths import (
-    COUNT_SCAN_CAP,
-    ENUMERATION_CAP,
-    DyckWord,
-    PathMove,
-    PathTrace,
-    ProjectedPath,
-    count_paths_by_height,
-    count_paths_to,
-    enumerate_words,
-    format_word,
-    format_words,
-    parse_word,
-    parse_words,
-    project_path,
-    trace,
-    trace_to_csv,
-)
-from .render import Diagram, DiagramSpec, emit, emit_svg, emit_text, layout
-from .verify import CheckResult, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXES",
-    "MAX_COORD",
-    "PLANES_2D",
-    "PLANES_3D",
-    "Isoline",
-    "Node",
-    "Plane",
-    "is_reachable",
-    "isolines_through",
-    "iter_nodes",
-    "node_from",
-    "nodes_on_isoline",
-    "planarity_equation",
-    "planarity_residual",
-    "project",
-    "DEFAULT_POSITION_CAP",
-    "TABLE_FORMAT",
-    "DynamicsTable",
-    "build_table",
-    "catalan",
-    "table_from_csv",
-    "table_from_json",
-    "table_to_csv",
-    "table_to_json",
-    "DomainError",
-    "DyckError",
-    "InvalidCharacter",
-    "NotANode",
-    "OutOfRange",
-    "PrefixViolation",
-    "ResourceLimit",
-    "TableFormatError",
-    "Decomposition",
-    "binomial",
-    "convolution",
-    "decompose_catalan",
-    "square_term",
-    "square_term_special",
-    "COUNT_SCAN_CAP",
-    "ENUMERATION_CAP",
-    "DyckWord",
-    "PathMove",
-    "PathTrace",
-    "ProjectedPath",
-    "count_paths_by_height",
-    "count_paths_to",
-    "enumerate_words",
-    "format_word",
-    "format_words",
-    "parse_word",
-    "parse_words",
-    "project_path",
-    "trace",
-    "trace_to_csv",
-    "Diagram",
-    "DiagramSpec",
-    "emit",
-    "emit_svg",
-    "emit_text",
-    "layout",
-    "CheckResult",
-    "run_checks",
-    "__version__",
-]
+# Home module of every public name, in the order ``__all__`` lists them.
+_EXPORTS = {
+    "coords": (
+        "AXES",
+        "MAX_COORD",
+        "PLANES_2D",
+        "PLANES_3D",
+        "Isoline",
+        "Node",
+        "Plane",
+        "is_reachable",
+        "isolines_through",
+        "iter_nodes",
+        "node_from",
+        "nodes_on_isoline",
+        "planarity_equation",
+        "planarity_residual",
+        "project",
+    ),
+    "dynamics": (
+        "DEFAULT_POSITION_CAP",
+        "TABLE_FORMAT",
+        "DynamicsTable",
+        "build_table",
+        "catalan",
+        "table_from_csv",
+        "table_from_json",
+        "table_to_csv",
+        "table_to_json",
+    ),
+    "errors": (
+        "DomainError",
+        "DyckError",
+        "InvalidCharacter",
+        "NotANode",
+        "OutOfRange",
+        "PrefixViolation",
+        "ResourceLimit",
+        "TableFormatError",
+    ),
+    "identities": (
+        "Decomposition",
+        "binomial",
+        "convolution",
+        "decompose_catalan",
+        "square_term",
+        "square_term_special",
+    ),
+    "paths": (
+        "COUNT_SCAN_CAP",
+        "ENUMERATION_CAP",
+        "DyckWord",
+        "PathMove",
+        "PathTrace",
+        "ProjectedPath",
+        "count_paths_by_height",
+        "count_paths_to",
+        "enumerate_words",
+        "format_word",
+        "format_words",
+        "parse_word",
+        "parse_words",
+        "project_path",
+        "trace",
+        "trace_to_csv",
+    ),
+    "render": ("Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"),
+    "verify": ("CheckResult", "run_checks"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

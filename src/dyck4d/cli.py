@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 domain or validation error (including usage
 errors), 2 resource limit.  All numeric output is exact decimal.
+
+Paths, rendering and verification are imported by the commands that use
+them, so a point query (catalan, dynamics, decompose) never loads them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from .coords import PLANES_2D, Plane, is_reachable, node_from
 from .dynamics import DEFAULT_POSITION_CAP, build_table, catalan, table_to_csv, table_to_json
 from .errors import DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
-from .paths import enumerate_words, format_word, parse_word, project_path, trace
-from .render import DiagramSpec, emit, layout
-from .verify import run_checks
 
 _CLI_PLANES = tuple(plane.name for plane in PLANES_2D)
 
@@ -114,6 +114,8 @@ def _cmd_decompose(args, out: TextIO) -> int:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
+    from .verify import run_checks
+
     results = run_checks(args.max_i)
     failures = sum(not result.passed for result in results)
     if args.json:
@@ -127,6 +129,8 @@ def _cmd_verify(args, out: TextIO) -> int:
 
 
 def _cmd_project(args, out: TextIO) -> int:
+    from .paths import parse_word, project_path, trace
+
     plane = _parse_plane(args.plane)
     projected = project_path(trace(parse_word(args.word)), plane)
     print(f"plane: {plane.name}", file=out)
@@ -139,6 +143,9 @@ def _cmd_project(args, out: TextIO) -> int:
 
 
 def _cmd_render(args, out: TextIO) -> int:
+    from .paths import parse_word
+    from .render import DiagramSpec, emit, layout
+
     spec = DiagramSpec(
         plane=_parse_plane(args.plane),
         max_i=args.max_i,
@@ -148,8 +155,11 @@ def _cmd_render(args, out: TextIO) -> int:
     )
     document = emit(layout(spec))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="") as handle:
-            handle.write(document)
+        try:
+            with open(args.svg, "w", encoding="utf-8", newline="") as handle:
+                handle.write(document)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from exc
     else:
         out.write(document)
     return 0
@@ -174,6 +184,8 @@ def _dispatch(args, out: TextIO) -> int:
     if args.command == "project":
         return _cmd_project(args, out)
     if args.command == "enumerate":
+        from .paths import enumerate_words, format_word
+
         for word in enumerate_words(args.m):
             print(format_word(word), file=out)
         return 0

@@ -8,9 +8,10 @@ recurrence
     count(i, j) = count(i-1, j+1) + count(i-1, j-1),
 
 with absent predecessors contributing zero (``_next_column``, which import
-validation reruns), and hold exact Python integers throughout.  Export and
-import read the columns directly: i and k fix j = i - 2k and n = i - k, so
-no :class:`Node` is built per entry.
+validation reruns; ``_columns`` runs it from the origin), and hold exact
+Python integers throughout.  Export and import read the columns directly:
+i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
+entry.
 """
 
 from __future__ import annotations
@@ -75,16 +76,23 @@ def _next_column(prev: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([a + b for a, b in zip(padded, padded[1 : i // 2 + 2])])
 
 
+def _columns(max_i: int) -> Iterator[tuple[int, ...]]:
+    """Columns 0 through ``max_i`` in order, each made from the one before;
+    a caller that keeps only the latest holds two columns at a time."""
+    col = (1,)
+    yield col
+    for i in range(1, max_i + 1):
+        col = _next_column(col, i)
+        yield col
+
+
 def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable:
     """Build the count table for every position up to ``max_i``."""
     if max_i < 0:
         raise ValueError(f"max_i must be nonnegative, got {max_i}")
     if max_i > cap:
         raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {cap}")
-    cols: list[tuple[int, ...]] = [(1,)]
-    for i in range(1, max_i + 1):
-        cols.append(_next_column(cols[-1], i))
-    return DynamicsTable(max_i, tuple(cols))
+    return DynamicsTable(max_i, tuple(_columns(max_i)))
 
 
 def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
@@ -192,7 +200,10 @@ def _parse_count(text: str) -> int:
 
 def table_from_csv(text: str) -> DynamicsTable:
     """Rebuild a table from :func:`table_to_csv` output (bound inferred)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise TableFormatError(f"not valid CSV: {exc}") from exc
     if not rows or rows[0] != ["i", "j", "n", "k", "count"]:
         raise TableFormatError("missing or wrong CSV header, expected i,j,n,k,count")
     records = []
@@ -216,7 +227,7 @@ def table_from_json(text: str) -> DynamicsTable:
     """Rebuild a table from :func:`table_to_json` output."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the int/str digit limit
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise TableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TableFormatError("top level must be an object")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, build_table, catalan
+from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, _columns, catalan
 from .errors import DomainError, DyckError, ResourceLimit
 
 
@@ -104,10 +104,12 @@ class Decomposition:
 def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decomposition:
     """All squares-decomposition terms of column v, cross-checked two ways.
 
-    Terms come from the binomial closed form; each is checked against a
-    freshly built count table, and the squared sum against the Catalan
-    number's own closed form.  A mismatch would mean a broken build and
-    raises.  The cap applies to position 2v, where Cat(v) sits.
+    Terms come from the binomial closed form; each is checked against
+    column v of the recurrence, and the squared sum against the Catalan
+    number's own closed form.  A mismatch would mean a broken route and
+    raises.  The recurrence runs from the origin and keeps only its latest
+    column, so memory stays at two columns rather than a whole table.  The
+    cap applies to position 2v, where Cat(v) sits.
     """
     if v < 0:
         raise ValueError(f"v must be nonnegative, got {v}")
@@ -116,10 +118,11 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
             f"decomposing column {v} needs positions up to {2 * v}, "
             f"beyond the cap of {cap}"
         )
-    table = build_table(v, cap=cap)
+    for column in _columns(v):  # each replaces the last; column v remains
+        pass
     terms = tuple(square_term(v, k) for k in range(v // 2 + 1))
     for k, term in enumerate(terms):
-        by_recurrence = table.count(v, v - 2 * k)
+        by_recurrence = column[k]
         if term != by_recurrence:
             raise DyckError(
                 f"inconsistent routes at (i={v}, k={k}): closed form {term}, "

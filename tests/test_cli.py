@@ -1,7 +1,9 @@
 import io
 import json
 
-from dyck4d import CheckResult, cli
+import pytest
+
+from dyck4d import CheckResult, verify
 from dyck4d.cli import run
 from dyck4d.dynamics import TABLE_FORMAT
 
@@ -123,7 +125,7 @@ class TestVerify:
 
     def test_json_failure_exit_code(self, monkeypatch):
         failed = CheckResult("column-tops", False, "count(3, 3) != 1", seconds=0.25)
-        monkeypatch.setattr(cli, "run_checks", lambda max_i: [failed])
+        monkeypatch.setattr(verify, "run_checks", lambda max_i: [failed])
         code, out, _ = invoke("verify", "--max-i", "3", "--json")
         assert code == 1
         assert json.loads(out) == [
@@ -200,6 +202,40 @@ class TestRender:
     def test_word_must_fit(self):
         code, _, err = invoke("render", "--plane", "ij", "--max-i", "2", "--word", "(())")
         assert code == 1
+
+    def test_unwritable_svg_path(self, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+# Each ends in an exit code and a one-line message, never a traceback.
+BAD_ARGV = [
+    [], ["frobnicate"], ["--frobnicate"], ["catalan"], ["catalan", "x"], ["catalan", "-1"],
+    ["catalan", "2049"], ["catalan", "1", "2"], ["table"], ["table", "--max-i", "-1"],
+    ["table", "--max-i", "4097"], ["table", "--max-i", "3", "--format", "xml"],
+    ["dynamics", "1"], ["dynamics", "4097", "1"], ["dynamics", "a", "b"],
+    ["decompose", "-1"], ["decompose", "2049"], ["decompose", "1.5"],
+    ["verify"], ["verify", "--max-i", "-1"], ["verify", "--max-i", "4097"],
+    ["project", "--plane", "ij"], ["project", "--plane", "xy", "--word", "()"],
+    ["project", "--plane", "ijn", "--word", "()"], ["project", "--plane", "ij", "--word", ")("],
+    ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"], ["enumerate", "17"],
+    ["render", "--plane", "ij", "--max-i", "-1"], ["render", "--plane", "ij", "--max-i", "4097"],
+    ["render", "--plane", "ijk", "--max-i", "3"],
+    ["render", "--plane", "ij", "--max-i", "2", "--word", "(())"],
+    ["render", "--plane", "ij", "--max-i", "2", "--isolines", "xyz"],
+    ["render", "--plane", "ij", "--max-i", "2", "--svg", "."],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_bad_arguments_exit_without_traceback(argv):
+    code, out, err = invoke(*argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 1 else "resource limit: ")
 
 
 class TestUsage:

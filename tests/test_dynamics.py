@@ -211,6 +211,19 @@ class TestSerialization:
         with pytest.raises(TableFormatError):
             table_from_json(json.dumps(doc))
 
+    def test_csv_rejects_field_past_the_csv_limit(self):
+        # csv.reader refuses fields over 131,072 characters with csv.Error.
+        text = "i,j,n,k,count\n0,0,0,0," + "1" * 200_000
+        with pytest.raises(TableFormatError, match="not valid CSV: field larger than field limit"):
+            table_from_csv(text)
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")])
+    def test_json_rejects_deep_nesting(self, opener, closer):
+        # json.loads recurses per level and raises RecursionError this deep.
+        text = opener * 100_000 + "1" + closer * 100_000
+        with pytest.raises(TableFormatError, match="not valid JSON: maximum recursion depth"):
+            table_from_json(text)
+
 
 def _reference_csv(table):
     import csv

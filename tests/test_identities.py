@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dyck4d import (
     Decomposition,
+    DyckError,
     binomial,
     build_table,
     catalan,
@@ -13,6 +14,7 @@ from dyck4d import (
     square_term,
     square_term_special,
 )
+from dyck4d import identities
 from dyck4d.errors import DomainError, ResourceLimit
 
 from conftest import needs_digit_limit
@@ -140,6 +142,22 @@ class TestDecomposition:
             assert dec.sum_of_squares == catalan(v)
             assert dec.terms[0] == 1
             assert dec.terms[-1] == catalan((v + 1) // 2)
+
+    def test_terms_equal_the_table_column(self):
+        table = build_table(40)
+        for v in range(41):
+            terms = decompose_catalan(v).terms
+            assert terms == tuple(table.count(v, v - 2 * k) for k in range(v // 2 + 1))
+
+    def test_recurrence_mismatch_raises(self, monkeypatch):
+        def columns(max_i):
+            yield (1,)
+            yield (1, 4, 2)  # column 4 with term 1 off by one
+
+        monkeypatch.setattr(identities, "_columns", columns)
+        with pytest.raises(DyckError) as info:
+            decompose_catalan(4)
+        assert str(info.value) == "inconsistent routes at (i=4, k=1): closed form 3, recurrence 4"
 
     def test_json_record(self):
         record = decompose_catalan(4).to_json_dict()

@@ -1,0 +1,100 @@
+"""The package namespace: every public name, loaded on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dyck4d
+
+SRC = str(Path(dyck4d.__file__).resolve().parent.parent)
+
+# The public API, by home module, in the order ``__all__`` lists it.
+PUBLIC = {
+    "coords": [
+        "AXES", "MAX_COORD", "PLANES_2D", "PLANES_3D", "Isoline", "Node", "Plane",
+        "is_reachable", "isolines_through", "iter_nodes", "node_from", "nodes_on_isoline",
+        "planarity_equation", "planarity_residual", "project",
+    ],
+    "dynamics": [
+        "DEFAULT_POSITION_CAP", "TABLE_FORMAT", "DynamicsTable", "build_table", "catalan",
+        "table_from_csv", "table_from_json", "table_to_csv", "table_to_json",
+    ],
+    "errors": [
+        "DomainError", "DyckError", "InvalidCharacter", "NotANode", "OutOfRange",
+        "PrefixViolation", "ResourceLimit", "TableFormatError",
+    ],
+    "identities": [
+        "Decomposition", "binomial", "convolution", "decompose_catalan", "square_term",
+        "square_term_special",
+    ],
+    "paths": [
+        "COUNT_SCAN_CAP", "ENUMERATION_CAP", "DyckWord", "PathMove", "PathTrace",
+        "ProjectedPath", "count_paths_by_height", "count_paths_to", "enumerate_words",
+        "format_word", "format_words", "parse_word", "parse_words", "project_path", "trace",
+        "trace_to_csv",
+    ],
+    "render": ["Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"],
+    "verify": ["CheckResult", "run_checks"],
+}
+
+
+def run_python(code: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_all_lists_the_public_api_in_order():
+    expected = [name for names in PUBLIC.values() for name in names]
+    assert dyck4d.__all__ == [*expected, "__version__"]
+
+
+@pytest.mark.parametrize("home, name", [(h, n) for h, names in PUBLIC.items() for n in names])
+def test_name_resolves_to_its_home_object(home, name):
+    value = getattr(dyck4d, name)
+    assert value is getattr(importlib.import_module(f"dyck4d.{home}"), name)
+    assert vars(dyck4d)[name] is value  # bound once; later reads skip the hook
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from dyck4d import *", namespace)
+    assert set(dyck4d.__all__) <= set(namespace)
+    assert set(dyck4d.__all__) <= set(dir(dyck4d))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dyck4d.no_such_name
+    with pytest.raises(ImportError):
+        from dyck4d import no_such_name  # noqa: F401
+
+
+def test_point_queries_load_no_paths_render_or_verify():
+    out = run_python(
+        "import io, sys\n"
+        "from dyck4d.cli import run\n"
+        "for argv in (['catalan', '5'], ['dynamics', '10', '2'], ['decompose', '10']):\n"
+        "    assert run(argv, stdout=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dyck4d')))\n"
+    )
+    loaded = eval(out)
+    assert {"dyck4d.cli", "dyck4d.dynamics", "dyck4d.identities"} <= set(loaded)
+    assert not {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} & set(loaded)
+
+
+def test_import_loads_a_module_on_first_use():
+    out = run_python(
+        "import sys, dyck4d\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dyck4d')))\n"
+        "run_checks = dyck4d.run_checks\n"
+        "print('dyck4d.verify' in sys.modules, vars(dyck4d)['run_checks'] is run_checks)\n"
+    )
+    assert out.splitlines() == ["['dyck4d']", "True True"]

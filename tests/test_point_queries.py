@@ -2,10 +2,11 @@
 
 import io
 import math
+import tracemalloc
 
 import pytest
 
-from dyck4d import build_table, catalan, cli, dynamics, identities
+from dyck4d import build_table, catalan, cli, decompose_catalan, dynamics, identities
 from dyck4d.cli import run
 
 
@@ -43,8 +44,10 @@ def no_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a point query built a count table")
 
-    for module in (dynamics, identities, cli):
+    for module in (dynamics, cli):
         monkeypatch.setattr(module, "build_table", refuse)
+    for module in (dynamics, identities):
+        monkeypatch.setattr(module, "_columns", refuse)
 
 
 def test_catalan_builds_no_table(no_tables):
@@ -55,3 +58,21 @@ def test_catalan_builds_no_table(no_tables):
 def test_dynamics_builds_no_table(no_tables):
     assert invoke("dynamics", "12", "0") == (0, "132 (i=12, j=0, n=6, k=6)\n", "")
     assert invoke("dynamics", "4095", "1")[0] == 0
+
+
+def test_decompose_keeps_one_column(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built a count table")
+
+    for module in (dynamics, identities, cli):
+        monkeypatch.setattr(module, "build_table", refuse, raising=False)
+    tracemalloc.start()
+    try:
+        dec = decompose_catalan(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.sum_of_squares == math.comb(2048, 1024) // 1025
+    # The whole table to column 1024 peaks at about 27 MB; two columns, 0.15 MB.
+    assert peak < 5_000_000
+    assert invoke("decompose", "6") == (0, "terms: 1,5,9,5\nsum-of-squares: 132\nstatus: OK\n", "")
