@@ -16,7 +16,7 @@ from dataclasses import asdict
 from typing import Sequence, TextIO
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
-from .dynamics import DEFAULT_POSITION_CAP, build_table, catalan, table_to_csv, table_to_json
+from .dynamics import DEFAULT_POSITION_CAP, _check_bound, catalan, stream_table
 from .errors import DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
 
@@ -90,10 +90,7 @@ def _cmd_dynamics(args, out: TextIO) -> int:
     if not is_reachable(args.i, args.j):
         print("0 (unreachable)", file=out)
         return 0
-    if args.i > DEFAULT_POSITION_CAP:
-        raise ResourceLimit(
-            f"max_i = {args.i} exceeds the position cap of {DEFAULT_POSITION_CAP}"
-        )
+    _check_bound(args.i, DEFAULT_POSITION_CAP)
     node = node_from(Plane.parse("ij"), args.i, args.j)
     value = square_term(node.i, node.k)
     print(f"{value} (i={node.i}, j={node.j}, n={node.n}, k={node.k})", file=out)
@@ -146,6 +143,8 @@ def _cmd_render(args, out: TextIO) -> int:
     from .paths import parse_word
     from .render import DiagramSpec, emit, layout
 
+    if args.svg == "":
+        raise _UsageError("--svg needs a file path, got an empty one")
     spec = DiagramSpec(
         plane=_parse_plane(args.plane),
         max_i=args.max_i,
@@ -172,8 +171,7 @@ def _dispatch(args, out: TextIO) -> int:
         print(catalan(args.n), file=out)
         return 0
     if args.command == "table":
-        table = build_table(args.max_i)
-        out.write(table_to_csv(table) if args.format == "csv" else table_to_json(table))
+        out.writelines(stream_table(args.max_i, args.format))
         return 0
     if args.command == "dynamics":
         return _cmd_dynamics(args, out)

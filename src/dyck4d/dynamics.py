@@ -9,20 +9,22 @@ recurrence
 
 with absent predecessors contributing zero (``_next_column``, which import
 validation reruns; ``_columns`` runs it from the origin), and hold exact
-Python integers throughout.  Export and import read the columns directly:
-i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
-entry.
+Python integers throughout.  Export and import go one column at a time
+(i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
+entry): ``stream_table`` writes an export holding two columns, and an import
+checks each column as soon as it is complete, so its records must come in
+export order, as both writers emit them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .coords import MAX_COORD, Node, iter_nodes
 from .errors import NotANode, OutOfRange, ResourceLimit, TableFormatError
@@ -88,11 +90,15 @@ def _columns(max_i: int) -> Iterator[tuple[int, ...]]:
 
 def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable:
     """Build the count table for every position up to ``max_i``."""
+    _check_bound(max_i, cap)
+    return DynamicsTable(max_i, tuple(_columns(max_i)))
+
+
+def _check_bound(max_i: int, cap: int) -> None:
     if max_i < 0:
         raise ValueError(f"max_i must be nonnegative, got {max_i}")
     if max_i > cap:
         raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {cap}")
-    return DynamicsTable(max_i, tuple(_columns(max_i)))
 
 
 def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
@@ -120,39 +126,49 @@ def _check_count_digits(largest: int) -> None:
     _check_str_digits(math.floor(largest.bit_length() * math.log10(2)) + 1)
 
 
-def _format_entries(table: DynamicsTable, fmt: str) -> list[str]:
-    """``fmt.format(i, j, n, k, count)`` for every entry, in table order."""
-    _check_count_digits(max(map(max, table._cols)))
-    cols = enumerate(table._cols)
-    return [fmt.format(i, i - 2 * k, i - k, k, v) for i, col in cols for k, v in enumerate(col)]
+def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
+            largest: int) -> Iterator[str]:
+    """The ``fmt`` export of ``columns`` in pieces, per column and separator,
+    none before the digit limit is checked for counts up to ``largest``."""
+    _check_count_digits(largest)
+    if fmt == "csv":
+        yield "i,j,n,k,count\n"
+        entry, sep, tail = "{},{},{},{},{}", "\n", "\n"
+    else:  # byte for byte json.dumps(doc, indent=2); no int or digit string needs escaping
+        yield f'{{\n  "format": "{TABLE_FORMAT}",\n  "max_i": {max_i},\n  "entries": [\n'
+        entry = '    {{\n      "i": {},\n      "j": {},\n      "n": {},\n      "k": {},\n'
+        entry += '      "count": "{}"\n    }}'
+        sep, tail = ",\n", "\n  ]\n}\n"
+    for i, col in enumerate(columns):
+        if i:
+            yield sep
+        yield sep.join([entry.format(i, i - 2 * k, i - k, k, v) for k, v in enumerate(col)])
+    yield tail
 
 
 def table_to_csv(table: DynamicsTable) -> str:
     """CSV text with columns i, j, n, k, count (count as a decimal string)."""
-    return "".join(["i,j,n,k,count\n", *_format_entries(table, "{},{},{},{},{}\n")])
+    return "".join(_export(table._cols, table.max_i, "csv", max(map(max, table._cols))))
 
 
 def table_to_json(table: DynamicsTable) -> str:
-    """JSON document: header with max_i and format version, then all records.
-
-    Byte for byte what ``json.dumps(doc, indent=2)`` gives; every value is
-    an int or a decimal string, so nothing needs escaping.
-    """
-    entry = '    {{\n      "i": {},\n      "j": {},\n      "n": {},\n      "k": {},\n'
-    entry += '      "count": "{}"\n    }}'
-    head = f'{{\n  "format": "{TABLE_FORMAT}",\n  "max_i": {table.max_i},\n  "entries": [\n'
-    return head + ",\n".join(_format_entries(table, entry)) + "\n  ]\n}\n"
+    """JSON document: header with max_i and format version, then all records."""
+    return "".join(_export(table._cols, table.max_i, "json", max(map(max, table._cols))))
 
 
-def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: int) -> DynamicsTable:
-    """Validate records exhaustively and assemble the immutable table.
+def stream_table(max_i: int, fmt: str) -> Iterator[str]:
+    """The ``fmt`` export of ``build_table(max_i)`` in pieces, holding two columns; the
+    bound is checked here, the digit limit (no count passes 2**max_i) before any piece."""
+    _check_bound(max_i, DEFAULT_POSITION_CAP)
+    return _export(_columns(max_i), max_i, fmt, 1 << max_i)
 
-    Every reachable node up to max_i must appear exactly once, coordinates
-    must be self-consistent, and every entry must satisfy the recurrence;
-    the recurrence pins the whole table down, so imported data that passes
-    is bit-identical to a fresh build.
-    """
-    seen: dict[tuple[int, int], int] = {}
+
+def _assemble(records: Iterable[tuple[int, ...]], max_i: int | None) -> DynamicsTable:
+    """Check records (i, j, n, k, count) in export order as they arrive: every
+    reachable node up to ``max_i`` (if None, the last column) once, each column
+    against the recurrence, which pins the table down; the first fault is raised."""
+    cols: list[tuple[int, ...]] = []
+    col: list[int] = []
     for i, j, n, k, value in records:
         # Node's own checks, without a Node per record; one words a rejection.
         if not (0 <= k and 0 <= j and i <= MAX_COORD and i == n + k and j == n - k):
@@ -160,32 +176,31 @@ def _table_from_records(records: list[tuple[int, int, int, int, int]], max_i: in
                 Node(i, j, n, k)
             except NotANode as exc:
                 raise TableFormatError(f"bad node record ({i}, {j}, {n}, {k}): {exc}") from exc
-        if i > max_i:
+        if max_i is not None and i > max_i:
             raise TableFormatError(f"record at position {i} beyond declared max_i {max_i}")
-        if (i, k) in seen:
-            raise TableFormatError(f"duplicate record for node ({i}, {j})")
-        seen[(i, k)] = value
-
-    cols: list[tuple[int, ...]] = []
-    for i in range(max_i + 1):
-        try:
-            cols.append(tuple([seen[i, k] for k in range(i // 2 + 1)]))
-        except KeyError as exc:
-            k = exc.args[0][1]
-            raise TableFormatError(f"missing entry for node ({i}, {i - 2 * k})") from None
-
-    if cols[0][0] != 1:
-        raise TableFormatError(f"origin count must be 1, got {cols[0][0]}")
-    for i in range(1, max_i + 1):
-        col, expected = cols[i], _next_column(cols[i - 1], i)
-        if col != expected:
-            k = next(k for k, pair in enumerate(zip(col, expected)) if pair[0] != pair[1])
-            padded = (0, *cols[i - 1], 0)
-            raise TableFormatError(
-                f"entry at ({i}, {i - 2 * k}) fails the recurrence: "
-                f"{col[k]} != {padded[k]} + {padded[k + 1]}"
-            )
-    return DynamicsTable(max_i, tuple(cols))
+        if i != len(cols) or k != len(col):
+            if (i, k) < (len(cols), len(col)):
+                raise TableFormatError(f"duplicate record for node ({i}, {j})")
+            break  # a position was skipped
+        col.append(value)
+        if k == i // 2:  # column i is complete
+            cols.append(tuple(col))
+            col = []
+            if not i and value != 1:
+                raise TableFormatError(f"origin count must be 1, got {value}")
+            if i and cols[i] != (expected := _next_column(cols[i - 1], i)):
+                k = next(k for k, pair in enumerate(zip(cols[i], expected)) if pair[0] != pair[1])
+                padded = (0, *cols[i - 1], 0)
+                raise TableFormatError(
+                    f"entry at ({i}, {i - 2 * k}) fails the recurrence: "
+                    f"{cols[i][k]} != {padded[k]} + {padded[k + 1]}"
+                )
+    else:  # the records ran out
+        if not (col or cols):
+            raise TableFormatError("table has no records; even an empty build has the origin")
+        if not col and (max_i is None or len(cols) > max_i):
+            return DynamicsTable(len(cols) - 1, tuple(cols))
+    raise TableFormatError(f"missing entry for node ({len(cols)}, {len(cols) - 2 * len(col)})")
 
 
 def _parse_count(text: str) -> int:
@@ -198,33 +213,46 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
-def table_from_csv(text: str) -> DynamicsTable:
-    """Rebuild a table from :func:`table_to_csv` output (bound inferred)."""
+def _csv_record(row: list[str]) -> tuple[int, int, int, int, int]:
+    if len(row) != 5:
+        raise TableFormatError(f"expected 5 fields per row, got {row!r}")
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        i, j, n, k = map(int, row[:4])
+    except ValueError as exc:
+        raise TableFormatError(f"non-integer coordinate in row {row!r}") from exc
+    return i, j, n, k, _parse_count(row[4])
+
+
+def table_from_csv(text: str) -> DynamicsTable:
+    """Rebuild a table from :func:`table_to_csv` output, a row at a time in export order."""
+    # One line at a time: io.StringIO would hold a four-byte copy of each character.
+    rows = csv.reader(line.group() for line in re.finditer(r".*\n|.+", text))
+    try:
+        if next(rows, None) != ["i", "j", "n", "k", "count"]:
+            raise TableFormatError("missing or wrong CSV header, expected i,j,n,k,count")
+        return _assemble(map(_csv_record, filter(None, rows)), None)
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         raise TableFormatError(f"not valid CSV: {exc}") from exc
-    if not rows or rows[0] != ["i", "j", "n", "k", "count"]:
-        raise TableFormatError("missing or wrong CSV header, expected i,j,n,k,count")
-    records = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise TableFormatError(f"expected 5 fields per row, got {row!r}")
-        try:
-            coords = list(map(int, row[:4]))
-        except ValueError as exc:
-            raise TableFormatError(f"non-integer coordinate in row {row!r}") from exc
-        records.append((*coords, _parse_count(row[4])))
-    if not records:
-        raise TableFormatError("table has no records; even an empty build has the origin")
-    max_i = max(record[0] for record in records)
-    return _table_from_records(records, max_i)
+
+
+def _json_record(entry: object) -> tuple[int, int, int, int, int]:
+    if not isinstance(entry, dict):
+        raise TableFormatError(f"record must be an object, got {entry!r}")
+    try:
+        i, j, n, k = entry["i"], entry["j"], entry["n"], entry["k"]
+        count_text = entry["count"]
+    except KeyError as exc:
+        raise TableFormatError(f"record missing field {exc}") from exc
+    if not type(i) is type(j) is type(n) is type(k) is int:
+        value = next(value for value in (i, j, n, k) if type(value) is not int)
+        raise TableFormatError(f"coordinate {value!r} is not an integer")
+    if not isinstance(count_text, str):
+        raise TableFormatError(f"count must be a decimal string, got {count_text!r}")
+    return i, j, n, k, _parse_count(count_text)
 
 
 def table_from_json(text: str) -> DynamicsTable:
-    """Rebuild a table from :func:`table_to_json` output."""
+    """Rebuild a table from :func:`table_to_json` output; entries must be in export order."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
@@ -241,19 +269,4 @@ def table_from_json(text: str) -> DynamicsTable:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise TableFormatError("entries must be an array of records")
-    records = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise TableFormatError(f"record must be an object, got {entry!r}")
-        try:
-            i, j, n, k = entry["i"], entry["j"], entry["n"], entry["k"]
-            count_text = entry["count"]
-        except KeyError as exc:
-            raise TableFormatError(f"record missing field {exc}") from exc
-        if not type(i) is type(j) is type(n) is type(k) is int:
-            value = next(value for value in (i, j, n, k) if type(value) is not int)
-            raise TableFormatError(f"coordinate {value!r} is not an integer")
-        if not isinstance(count_text, str):
-            raise TableFormatError(f"count must be a decimal string, got {count_text!r}")
-        records.append((i, j, n, k, _parse_count(count_text)))
-    return _table_from_records(records, max_i)
+    return _assemble(map(_json_record, entries), max_i)

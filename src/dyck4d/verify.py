@@ -4,13 +4,14 @@ Each check runs within a caller-supplied position bound and reports pass or
 fail with a short detail string and the seconds it took; the command line's
 ``verify`` subcommand prints one line per check, or one JSON record per
 check with ``--json``.  Every check receives the count table built once for
-the bound; checks that need another size build their own.  Checks that
-compare against the brute-force scanners clamp themselves to the scanners'
-hard caps.
+the bound; checks that need another size build their own, or read columns
+as they are made.  Checks that compare against the brute-force scanners
+clamp themselves to the scanners' hard caps.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -203,13 +204,11 @@ def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> CheckResult
 
 
 def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
-    # Catalan numbers up to column `bound` sit at positions up to twice it.
-    table = dynamics.build_table(
-        2 * bound, cap=max(dynamics.DEFAULT_POSITION_CAP, 2 * bound)
-    )
-    for v in range(bound + 1):
+    # Catalan number v is count(2v, 0), the last entry of column 2v; no table is held.
+    evens = itertools.islice(dynamics._columns(2 * bound), None, None, 2)
+    for v, col in enumerate(evens):
         total = sum(identities.square_term(v, k) ** 2 for k in range(v // 2 + 1))
-        if total != table.count(2 * v, 0):
+        if total != col[v]:
             return CheckResult("sum-of-squares", False, f"identity fails at v = {v}")
     return CheckResult("sum-of-squares", True, f"v <= {bound}")
 

@@ -1,9 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
 
-from dyck4d import CheckResult, verify
+from dyck4d import CheckResult, build_table, cli, dynamics, table_to_csv, table_to_json, verify
 from dyck4d.cli import run
 from dyck4d.dynamics import TABLE_FORMAT
 
@@ -79,6 +80,39 @@ class TestTable:
         code, _, err = invoke("table")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("max_i", [*range(41), 300])
+    def test_streams_the_export_without_a_table(self, monkeypatch, max_i, fmt):
+        table = build_table(max_i)
+        expected = table_to_csv(table) if fmt == "csv" else table_to_json(table)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built a whole count table")
+
+        for module in (cli, dynamics):
+            monkeypatch.setattr(module, "build_table", refuse, raising=False)
+        assert invoke("table", "--max-i", str(max_i), "--format", fmt) == (0, expected, "")
+
+    @pytest.mark.parametrize("max_i, code, err", [
+        ("4097", 2, "resource limit: max_i = 4097 exceeds the position cap of 4096\n"),
+        ("-1", 1, "error: max_i must be nonnegative, got -1\n"),
+    ])
+    def test_refusal_writes_nothing(self, max_i, code, err):
+        assert invoke("table", "--max-i", max_i) == (code, "", err)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+    def test_digit_limit_is_checked_before_output(self):
+        # Counts in column i have at most i + 1 bits: 663 digits at 2200.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = invoke("table", "--max-i", "2200")
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert result == (
+            2, "", "resource limit: a count of up to 663 digits is beyond the int/str limit 640\n"
+        )
 
 
 class TestDecompose:
@@ -208,6 +242,11 @@ class TestRender:
         code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", str(target))
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_empty_svg_path(self):
+        code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", "")
+        assert (code, out) == (1, "")
+        assert err == "error: --svg needs a file path, got an empty one\n"
 
 
 # Each ends in an exit code and a one-line message, never a traceback.

@@ -1,5 +1,8 @@
+import json
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyck4d import (
     Node,
@@ -351,3 +354,138 @@ class TestDigitLimit:
     def test_import_at_the_limit_reaches_validation(self):
         with pytest.raises(TableFormatError, match="origin count must be 1"):
             table_from_csv("i,j,n,k,count\n0,0,0,0," + "1" * STR_DIGITS + "\n")
+
+
+def _csv_lines(max_i):
+    return table_to_csv(build_table(max_i)).splitlines(True)
+
+
+def _json_doc(max_i):
+    return json.loads(table_to_json(build_table(max_i)))
+
+
+def _rejection(parse, text):
+    with pytest.raises(TableFormatError) as info:
+        parse(text)
+    return str(info.value)
+
+
+class TestImportInExportOrder:
+    """Records are checked as they arrive: the first fault in file order is
+    the one reported.  Columns 4 and 6 of build_table(6) hold (1, 3, 2) and
+    (1, 5, 9, 5); CSV line 0 is the header and column 4 starts at line 7."""
+
+    def test_swapped_rows(self):
+        lines = _csv_lines(6)
+        lines[7], lines[8] = lines[8], lines[7]
+        assert _rejection(table_from_csv, "".join(lines)) == "missing entry for node (4, 4)"
+        doc = _json_doc(6)
+        entries = doc["entries"]
+        entries[6], entries[7] = entries[7], entries[6]
+        assert _rejection(table_from_json, json.dumps(doc)) == "missing entry for node (4, 4)"
+
+    def test_shuffled_rows(self):
+        lines = _csv_lines(6)
+        text = lines[0] + "".join(reversed(lines[1:]))
+        assert _rejection(table_from_csv, text) == "missing entry for node (0, 0)"
+
+    def test_duplicated_row(self):
+        lines = _csv_lines(6)
+        lines.insert(9, lines[8])
+        assert _rejection(table_from_csv, "".join(lines)) == "duplicate record for node (4, 2)"
+        doc = _json_doc(6)
+        doc["entries"].insert(8, doc["entries"][7])
+        assert _rejection(table_from_json, json.dumps(doc)) == "duplicate record for node (4, 2)"
+
+    def test_truncated_last_column(self):
+        lines = _csv_lines(6)
+        assert _rejection(table_from_csv, "".join(lines[:-1])) == "missing entry for node (6, 0)"
+        doc = _json_doc(6)
+        del doc["entries"][-1]
+        assert _rejection(table_from_json, json.dumps(doc)) == "missing entry for node (6, 0)"
+
+    def test_json_declared_column_absent(self):
+        doc = _json_doc(6)
+        del doc["entries"][-4:]
+        assert _rejection(table_from_json, json.dumps(doc)) == "missing entry for node (6, 6)"
+
+    def test_json_record_beyond_declared_max_i(self):
+        doc = _json_doc(6)
+        doc["entries"].append({"i": 7, "j": 7, "n": 7, "k": 0, "count": "1"})
+        assert _rejection(table_from_json, json.dumps(doc)) == (
+            "record at position 7 beyond declared max_i 6"
+        )
+
+    def test_csv_without_records(self):
+        assert _rejection(table_from_csv, "i,j,n,k,count\n\n") == (
+            "table has no records; even an empty build has the origin"
+        )
+
+    @pytest.mark.parametrize("parse, export, limit", [
+        (table_from_csv, table_to_csv, 10_000_000),
+        (table_from_json, table_to_json, 32_000_000),
+    ])
+    def test_import_peak_memory(self, parse, export, limit):
+        table = build_table(512)
+        text = export(table)
+        tracemalloc.start()
+        try:
+            restored = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert restored == table
+        # The table itself is about 4.2 MB and json.loads of the text about
+        # 24 MB; holding every row and a dict of all (i, k) as well passes 50 MB.
+        assert peak < limit
+
+
+def _mutate(text, data):
+    """One line deleted, duplicated or swapped with the next, or one digit changed."""
+    lines = text.splitlines(True)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["delete", "duplicate", "swap", "digit"]))
+    if how == "delete":
+        del lines[at]
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "swap":
+        lines[at : at + 2] = reversed(lines[at : at + 2])
+    else:
+        digits = [p for p, c in enumerate(lines[at]) if c.isdigit()]
+        if digits:
+            p = data.draw(st.sampled_from(digits))
+            new = data.draw(st.sampled_from("0123456789"))
+            lines[at] = lines[at][:p] + new + lines[at][p + 1 :]
+    return "".join(lines)
+
+
+def _import_or_reject(parse, text):
+    try:
+        table = parse(text)
+    except (TableFormatError, ResourceLimit):
+        return
+    assert table == build_table(table.max_i)
+
+
+class TestImportFuzz:
+    """Whatever the text, an import either refuses it or returns exactly a
+    fresh build of its bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([table_from_csv, table_from_json]),
+        st.one_of(st.text(), st.text().map(lambda text: "i,j,n,k,count\n" + text)),
+    )
+    def test_arbitrary_text(self, parse, text):
+        _import_or_reject(parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(table_from_csv, table_to_csv), (table_from_json, table_to_json)]),
+        st.integers(0, 12),
+        st.data(),
+    )
+    def test_damaged_export(self, formats, max_i, data):
+        parse, export = formats
+        _import_or_reject(parse, _mutate(export(build_table(max_i)), data))

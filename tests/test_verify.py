@@ -1,6 +1,6 @@
 import pytest
 
-from dyck4d import CheckResult, dynamics, run_checks
+from dyck4d import CheckResult, dynamics, identities, run_checks, verify
 from dyck4d.dynamics import DynamicsTable
 
 
@@ -56,4 +56,20 @@ def test_bumped_count_fails_oracle_and_recurrence(monkeypatch):
     # The importer rejects the wrong export; the check reports it instead of raising.
     assert results["table-serialization"].detail == (
         "import rejected the export: entry at (5, 3) fails the recurrence: 5 != 1 + 3"
+    )
+
+
+def test_sum_of_squares_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sum-of-squares built a whole count table")
+
+    monkeypatch.setattr(dynamics, "build_table", refuse)
+    assert verify._check_sum_of_squares(64, None) == CheckResult("sum-of-squares", True, "v <= 64")
+
+
+def test_sum_of_squares_fails_on_a_wrong_term(monkeypatch):
+    real = identities.square_term
+    monkeypatch.setattr(identities, "square_term", lambda v, k: real(v, k) + ((v, k) == (37, 5)))
+    assert verify._check_sum_of_squares(64, None) == CheckResult(
+        "sum-of-squares", False, "identity fails at v = 37"
     )
