@@ -102,12 +102,11 @@ def _cmd_decompose(args, out: TextIO) -> int:
     if args.json:
         out.write(json.dumps(dec.to_json_dict(), indent=2) + "\n")
         return 0
-    total = dec.sum_of_squares
-    expected = catalan(args.v)
+    # decompose_catalan raised unless the squares sum to catalan(v).
     print("terms: " + ",".join(str(t) for t in dec.terms), file=out)
-    print(f"sum-of-squares: {total}", file=out)
-    print(f"status: {'OK' if total == expected else 'MISMATCH'}", file=out)
-    return 0 if total == expected else 1
+    print(f"sum-of-squares: {dec.sum_of_squares}", file=out)
+    print("status: OK", file=out)
+    return 0
 
 
 def _cmd_verify(args, out: TextIO) -> int:

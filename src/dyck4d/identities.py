@@ -38,7 +38,7 @@ def convolution(n: int, j: int) -> int:
         raise DomainError(f"convolution needs n, j >= 0, got ({n}, {j})")
     if j > n:
         raise DomainError(f"convolution needs j <= n, got ({n}, {j})")
-    return binomial(2 * n - j, n - j) - binomial(2 * n - j, n - j - 1)
+    return square_term(2 * n - j, n - j)
 
 
 def square_term(i: int, k: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Isoline, Node, Plane, planarity_equation, project
-from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, build_table
+from .dynamics import _check_count_digits, build_table
 from .errors import DomainError
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
@@ -79,7 +79,7 @@ class Diagram:
     highlights: tuple[tuple[int, int], ...]
 
 
-def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
+def layout(spec: DiagramSpec) -> Diagram:
     """Place every reachable node, isoline polyline, and path point.
 
     A three-axis plane is drawn as its first two axes: every three-axis
@@ -98,7 +98,7 @@ def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
         )
         plane = flat
 
-    table = build_table(spec.max_i, cap=cap)
+    table = build_table(spec.max_i)
     _check_count_digits(max(map(max, table._cols)))
     placed = tuple(
         PlacedNode(node, *project(node, plane), str(value))
@@ -126,14 +126,11 @@ def layout(spec: DiagramSpec, *, cap: int = DEFAULT_POSITION_CAP) -> Diagram:
     return Diagram(spec, plane, note, placed, tuple(isolines), path, highlights)
 
 
-def emit(diagram: Diagram, fmt: str | None = None) -> str:
-    """Serialize a laid-out diagram; ``fmt`` falls back to the spec's format."""
-    fmt = fmt or diagram.spec.fmt
-    if fmt == "text":
-        return emit_text(diagram)
-    if fmt == "svg":
+def emit(diagram: Diagram) -> str:
+    """Serialize a laid-out diagram in its spec's format, which the spec validated."""
+    if diagram.spec.fmt == "svg":
         return emit_svg(diagram)
-    raise DomainError(f"format must be 'text' or 'svg', got {fmt!r}")
+    return emit_text(diagram)
 
 
 def emit_text(diagram: Diagram) -> str:

@@ -1,12 +1,14 @@
 """Cross-checks wiring every identity and invariant together.
 
-Each check runs within a caller-supplied position bound and reports pass or
-fail with a short detail string and the seconds it took; the command line's
-``verify`` subcommand prints one line per check, or one JSON record per
-check with ``--json``.  Every check receives the count table built once for
-the bound; checks that need another size build their own, or read columns
-as they are made.  Checks that compare against the brute-force scanners
-clamp themselves to the scanners' hard caps.
+Each check runs within a caller-supplied position bound and returns whether
+it passed and a short detail string.  :data:`_CHECKS` names every check once,
+in run order, and :func:`run_checks` alone makes each :class:`CheckResult`,
+with the seconds the check took; the command line's ``verify`` subcommand
+prints one line per check, or one JSON record per check with ``--json``.
+Every check reads the one count table built for the bound; the Catalan
+numbers past it come from :func:`_catalans`, which holds two columns.
+Checks that compare against the brute-force scanners clamp themselves to the
+scanners' hard caps.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from . import coords, dynamics, identities, paths, render
 from .errors import NotANode, TableFormatError
@@ -25,6 +27,8 @@ GEOMETRY_WORDS = 1000
 
 _IJ = coords.PLANES_2D[0]
 _NK = coords.Plane.parse("nk")
+
+_Outcome = tuple[bool, str]  # passed, detail
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,14 @@ def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:
     return paths.DyckWord("".join(steps))
 
 
-def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _catalans(v_max: int) -> Iterator[int]:
+    """Catalan numbers 0 through ``v_max``: Catalan number v is count(2v, 0),
+    the last entry of column 2v, which can lie past the bound; no table is held."""
+    for col in itertools.islice(dynamics._columns(2 * v_max), None, None, 2):
+        yield col[-1]
+
+
+def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     total = 0
     for node in coords.iter_nodes(bound):
         total += 1
@@ -62,13 +73,11 @@ def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> CheckRe
             and node.n >= node.k >= 0
         )
         if not ok:
-            return CheckResult(
-                "node-equations", False, f"coordinate equations fail at {node}"
-            )
-    return CheckResult("node-equations", True, f"{total} nodes with i <= {bound}")
+            return False, f"coordinate equations fail at {node}"
+    return True, f"{total} nodes with i <= {bound}"
 
 
-def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     checked = 0
     for i in range(-2, bound + 1):
         for j in range(-2, i + 3):
@@ -79,58 +88,45 @@ def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> CheckResu
             except NotANode:
                 constructible = False
             if coords.is_reachable(i, j) != constructible:
-                return CheckResult(
-                    "reachability", False,
-                    f"is_reachable({i}, {j}) disagrees with node completion",
-                )
-    return CheckResult("reachability", True, f"{checked} (i, j) pairs")
+                return False, f"is_reachable({i}, {j}) disagrees with node completion"
+    return True, f"{checked} (i, j) pairs"
 
 
-def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_2D:
             total += 1
             if coords.node_from(plane, *coords.project(node, plane)) != node:
-                return CheckResult(
-                    "projection-roundtrip", False,
-                    f"{plane.name} does not round-trip {node}",
-                )
-    return CheckResult("projection-roundtrip", True, f"{total} projections")
+                return False, f"{plane.name} does not round-trip {node}"
+    return True, f"{total} projections"
 
 
-def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_3D:
             total += 1
             if coords.planarity_residual(node, plane) != 0:
-                return CheckResult(
-                    "planarity", False,
-                    f"{plane.name} residual nonzero at {node}",
-                )
-    return CheckResult("planarity", True, f"{total} residuals, all zero")
+                return False, f"{plane.name} residual nonzero at {node}"
+    return True, f"{total} residuals, all zero"
 
 
-def _check_recurrence(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_recurrence(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     for node in coords.iter_nodes(bound):
         if node.i == 0:
             continue
         expected = table.count(node.i - 1, node.j + 1) + table.count(node.i - 1, node.j - 1)
         if table.count(node.i, node.j) != expected:
-            return CheckResult(
-                "recurrence-closure", False, f"recurrence fails at ({node.i}, {node.j})"
-            )
-    return CheckResult("recurrence-closure", True, f"{len(table)} entries, i <= {bound}")
+            return False, f"recurrence fails at ({node.i}, {node.j})"
+    return True, f"{len(table)} entries, i <= {bound}"
 
 
-def _check_four_coordinate_form(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_four_coordinate_form(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     for node in coords.iter_nodes(bound):
         value = table.count_node(node)
         if value != table.count(node.i, node.j):
-            return CheckResult(
-                "four-coordinate-form", False, f"2D/4D disagree at {node}"
-            )
+            return False, f"2D/4D disagree at {node}"
         if node.i == 0:
             continue
         up = (
@@ -143,77 +139,64 @@ def _check_four_coordinate_form(bound: int, table: dynamics.DynamicsTable) -> Ch
         )
         total = (table.count_node(up) if up else 0) + (table.count_node(down) if down else 0)
         if value != total:
-            return CheckResult(
-                "four-coordinate-form", False, f"shifted recurrence fails at {node}"
-            )
-    return CheckResult("four-coordinate-form", True, f"all nodes with i <= {bound}")
+            return False, f"shifted recurrence fails at {node}"
+    return True, f"all nodes with i <= {bound}"
 
 
-def _check_bottom_rows(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_bottom_rows(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     for n in range(1, bound // 2 + 1):
         if table.count(2 * n, 0) != table.count(2 * n - 1, 1):
-            return CheckResult("bottom-rows", False, f"rows disagree at n = {n}")
-    return CheckResult("bottom-rows", True, f"n <= {bound // 2}")
+            return False, f"rows disagree at n = {n}"
+    return True, f"n <= {bound // 2}"
 
 
-def _check_column_tops(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_column_tops(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     for i in range(bound + 1):
         if table.count(i, i) != 1:
-            return CheckResult("column-tops", False, f"count({i}, {i}) != 1")
-    return CheckResult("column-tops", True, f"i <= {bound}")
+            return False, f"count({i}, {i}) != 1"
+    return True, f"i <= {bound}"
 
 
-def _check_oracle(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_oracle(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     scan_bound = min(bound, paths.COUNT_SCAN_CAP)
-    table = dynamics.build_table(scan_bound)
     positions = 0
     for i in range(scan_bound + 1):
         by_height = paths.count_paths_by_height(i)
         for j in range(i, -1, -2):  # the order of iter_nodes
             positions += 1
             if by_height[j] != table.count(i, j):
-                return CheckResult(
-                    "oracle-equivalence", False, f"brute force disagrees at ({i}, {j})"
-                )
-    return CheckResult("oracle-equivalence", True, f"{positions} positions, i <= {scan_bound}")
+                return False, f"brute force disagrees at ({i}, {j})"
+    return True, f"{positions} positions, i <= {scan_bound}"
 
 
-def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     total = 0
     for i in range(bound + 1):
         for k in range(i // 2 + 1):
             total += 1
             if identities.square_term(i, k) != table.count(i, i - 2 * k):
-                return CheckResult(
-                    "square-terms", False,
-                    f"closed form disagrees at (i={i}, k={k})",
-                )
-    return CheckResult("square-terms", True, f"{total} terms, i <= {bound}")
+                return False, f"closed form disagrees at (i={i}, k={k})"
+    return True, f"{total} terms, i <= {bound}"
 
 
-def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> CheckResult:
+def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     # Entry j = 0 of row n is compared with count(2n, 0), the Catalan number.
     for n in range(bound // 2 + 1):
         for j in range(n + 1):
             if identities.convolution(n, j) != table.count(2 * n - j, j):
-                return CheckResult(
-                    "convolution-matrix", False,
-                    f"matrix entry disagrees at (n={n}, j={j})",
-                )
-    return CheckResult("convolution-matrix", True, f"n <= {bound // 2}")
+                return False, f"matrix entry disagrees at (n={n}, j={j})"
+    return True, f"n <= {bound // 2}"
 
 
-def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
-    # Catalan number v is count(2v, 0), the last entry of column 2v; no table is held.
-    evens = itertools.islice(dynamics._columns(2 * bound), None, None, 2)
-    for v, col in enumerate(evens):
+def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+    for v, cat in enumerate(_catalans(bound)):
         total = sum(identities.square_term(v, k) ** 2 for k in range(v // 2 + 1))
-        if total != col[v]:
-            return CheckResult("sum-of-squares", False, f"identity fails at v = {v}")
-    return CheckResult("sum-of-squares", True, f"v <= {bound}")
+        if total != cat:
+            return False, f"identity fails at v = {v}"
+    return True, f"v <= {bound}"
 
 
-def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     checked = 0
     for v in range(bound + 1):
         for k in {0, 1, 2, v // 2}:
@@ -223,28 +206,25 @@ def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> CheckRes
             special = identities.square_term_special(v, k)
             general = identities.square_term(v, k)
             if special != general:
-                return CheckResult(
-                    "special-terms", False,
-                    f"dedicated form {special} != general {general} at (v={v}, k={k})",
-                )
-    return CheckResult("special-terms", True, f"{checked} special terms, v <= {bound}")
+                return False, f"dedicated form {special} != general {general} at (v={v}, k={k})"
+    return True, f"{checked} special terms, v <= {bound}"
 
 
-def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     limit = min(bound, 40)
-    table = dynamics.build_table(2 * limit)
+    cats = list(_catalans(limit))
     for v in range(limit + 1):
         dec = identities.decompose_catalan(v)
         if dec.terms[0] != 1:
-            return CheckResult("decomposition", False, f"first term not 1 at v = {v}")
-        if dec.terms[-1] != table.count(2 * ((v + 1) // 2), 0):
-            return CheckResult("decomposition", False, f"last term wrong at v = {v}")
-        if dec.sum_of_squares != table.count(2 * v, 0):
-            return CheckResult("decomposition", False, f"squared sum wrong at v = {v}")
-    return CheckResult("decomposition", True, f"v <= {limit}")
+            return False, f"first term not 1 at v = {v}"
+        if dec.terms[-1] != cats[(v + 1) // 2]:
+            return False, f"last term wrong at v = {v}"
+        if dec.sum_of_squares != cats[v]:
+            return False, f"squared sum wrong at v = {v}"
+    return True, f"v <= {limit}"
 
 
-def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     rng = random.Random(GEOMETRY_SEED)
     size_cap = min(bound // 2, 12)
     for _ in range(GEOMETRY_WORDS):
@@ -252,71 +232,52 @@ def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> CheckRes
         path = paths.trace(word)  # Node construction re-validates the coordinate equations
         for step, before, after in zip(word.steps, path.nodes, path.nodes[1:]):
             if step == "U" and after.k != before.k:
-                return CheckResult(
-                    "path-geometry", False, f"upstep changed k in {word.steps}"
-                )
+                return False, f"upstep changed k in {word.steps}"
             if step == "D" and after.n != before.n:
-                return CheckResult(
-                    "path-geometry", False, f"downstep changed n in {word.steps}"
-                )
+                return False, f"downstep changed n in {word.steps}"
         flat = paths.project_path(path, _NK)
         if any(k > n for n, k in flat.points):
-            return CheckResult(
-                "path-geometry", False, f"nk projection crossed the diagonal: {word.steps}"
-            )
-    return CheckResult(
-        "path-geometry", True,
-        f"{GEOMETRY_WORDS} seeded words of semilength <= {size_cap}",
-    )
+            return False, f"nk projection crossed the diagonal: {word.steps}"
+    return True, f"{GEOMETRY_WORDS} seeded words of semilength <= {size_cap}"
 
 
-def _check_enumeration(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_enumeration(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     limit = min(bound // 2, 10)
-    table = dynamics.build_table(2 * limit)
     for m in range(limit + 1):
         words = list(paths.enumerate_words(m))
         if len(words) != table.count(2 * m, 0):
-            return CheckResult(
-                "enumeration-count", False,
-                f"{len(words)} words of semilength {m}, expected catalan({m})",
-            )
+            return False, f"{len(words)} words of semilength {m}, expected catalan({m})"
         parens = [paths.format_word(w) for w in words]
         if parens != sorted(parens) or len(set(parens)) != len(parens):
-            return CheckResult(
-                "enumeration-count", False, f"order or distinctness broken at m = {m}"
-            )
-    return CheckResult("enumeration-count", True, f"m <= {limit}")
+            return False, f"order or distinctness broken at m = {m}"
+    return True, f"m <= {limit}"
 
 
-def _check_serialization(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
-    table = dynamics.build_table(min(bound, 32))
+def _check_serialization(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+    size = min(bound, 32)
+    prefix = dynamics.DynamicsTable(size, table._cols[: size + 1])
     try:
-        if dynamics.table_from_csv(dynamics.table_to_csv(table)) != table:
-            return CheckResult("table-serialization", False, "CSV round-trip changed the table")
-        if dynamics.table_from_json(dynamics.table_to_json(table)) != table:
-            return CheckResult("table-serialization", False, "JSON round-trip changed the table")
+        if dynamics.table_from_csv(dynamics.table_to_csv(prefix)) != prefix:
+            return False, "CSV round-trip changed the table"
+        if dynamics.table_from_json(dynamics.table_to_json(prefix)) != prefix:
+            return False, "JSON round-trip changed the table"
     except TableFormatError as exc:  # import validation caught a wrong build
-        return CheckResult("table-serialization", False, f"import rejected the export: {exc}")
-    return CheckResult("table-serialization", True, f"CSV and JSON, i <= {table.max_i}")
+        return False, f"import rejected the export: {exc}"
+    return True, f"CSV and JSON, i <= {size}"
 
 
-def _check_render_determinism(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_render_determinism(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     spec = render.DiagramSpec(plane=_IJ, max_i=min(bound, 8), fmt="svg")
-    first = render.emit(render.layout(spec))
-    second = render.emit(render.layout(spec))
-    if first != second:
-        return CheckResult("render-determinism", False, "same spec emitted different bytes")
-    table = dynamics.build_table(spec.max_i)
     diagram = render.layout(spec)
+    if render.emit(diagram) != render.emit(render.layout(spec)):
+        return False, "same spec emitted different bytes"
     for placed in diagram.nodes:
         if placed.label != str(table.count_node(placed.node)):
-            return CheckResult(
-                "render-determinism", False, f"label drift at {placed.node}"
-            )
-    return CheckResult("render-determinism", True, f"ij diagram, i <= {spec.max_i}")
+            return False, f"label drift at {placed.node}"
+    return True, f"ij diagram, i <= {spec.max_i}"
 
 
-def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> CheckResult:
+def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     limit = min(bound, 12)
     diagram = render.layout(render.DiagramSpec(plane=coords.Plane.parse("kj"), max_i=limit))
     placed = {(p.x, p.y): p.label for p in diagram.nodes}
@@ -324,41 +285,42 @@ def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> CheckResul
         (k, j) for k in range(limit // 2 + 1) for j in range(limit - 2 * k + 1)
     }
     if set(placed) != expected:
-        return CheckResult("kj-coverage", False, "kj quadrant has holes or extras")
+        return False, "kj quadrant has holes or extras"
     if any(int(label) <= 0 for label in placed.values()):
-        return CheckResult("kj-coverage", False, "non-positive label in the kj quadrant")
-    return CheckResult("kj-coverage", True, f"{len(placed)} lattice points, i <= {limit}")
+        return False, "non-positive label in the kj quadrant"
+    return True, f"{len(placed)} lattice points, i <= {limit}"
 
 
-_CHECKS: tuple[Callable[[int, dynamics.DynamicsTable], CheckResult], ...] = (
-    _check_node_equations,
-    _check_reachability,
-    _check_roundtrip,
-    _check_planarity,
-    _check_recurrence,
-    _check_four_coordinate_form,
-    _check_bottom_rows,
-    _check_column_tops,
-    _check_oracle,
-    _check_square_terms,
-    _check_convolution,
-    _check_sum_of_squares,
-    _check_special_terms,
-    _check_decomposition,
-    _check_path_geometry,
-    _check_enumeration,
-    _check_serialization,
-    _check_render_determinism,
-    _check_kj_coverage,
-)
+# Every check by name, in run order.
+_CHECKS: dict[str, Callable[[int, dynamics.DynamicsTable], _Outcome]] = {
+    "node-equations": _check_node_equations,
+    "reachability": _check_reachability,
+    "projection-roundtrip": _check_roundtrip,
+    "planarity": _check_planarity,
+    "recurrence-closure": _check_recurrence,
+    "four-coordinate-form": _check_four_coordinate_form,
+    "bottom-rows": _check_bottom_rows,
+    "column-tops": _check_column_tops,
+    "oracle-equivalence": _check_oracle,
+    "square-terms": _check_square_terms,
+    "convolution-matrix": _check_convolution,
+    "sum-of-squares": _check_sum_of_squares,
+    "special-terms": _check_special_terms,
+    "decomposition": _check_decomposition,
+    "path-geometry": _check_path_geometry,
+    "enumeration-count": _check_enumeration,
+    "table-serialization": _check_serialization,
+    "render-determinism": _check_render_determinism,
+    "kj-coverage": _check_kj_coverage,
+}
 
 
 def run_checks(max_i: int = 32) -> list[CheckResult]:
     """Run every invariant check within the given position bound, timing each."""
     table = dynamics.build_table(max_i)  # rejects a negative bound
     results = []
-    for check in _CHECKS:
+    for name, check in _CHECKS.items():
         start = time.perf_counter()
-        result = check(max_i, table)
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        passed, detail = check(max_i, table)
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -152,13 +152,9 @@ class TestEmitSvg:
         assert "j - n + k = 0" in svg
 
 
-def test_emit_honors_spec_format_and_override():
-    spec = DiagramSpec(plane=IJ, max_i=2, fmt="svg")
-    diagram = layout(spec)
-    assert emit(diagram).startswith("<?xml")
-    assert emit(diagram, "text").startswith("j\n")
-    with pytest.raises(DomainError):
-        emit(diagram, "pdf")
+def test_emit_honors_spec_format():
+    assert emit(layout(DiagramSpec(plane=IJ, max_i=2, fmt="svg"))).startswith("<?xml")
+    assert emit(layout(DiagramSpec(plane=IJ, max_i=2, fmt="text"))).startswith("j\n")
 
 
 def _reference_isolines(spec):
@@ -190,7 +186,7 @@ def test_isolines_match_node_completion(plane):
 @needs_digit_limit
 def test_labels_past_digit_limit(monkeypatch):
     # A label is str() of its count; the check must come before any conversion.
-    monkeypatch.setattr(render, "build_table", lambda max_i, cap: DynamicsTable(0, ((10**5000,),)))
+    monkeypatch.setattr(render, "build_table", lambda max_i: DynamicsTable(0, ((10**5000,),)))
     with pytest.raises(ResourceLimit):
         layout(DiagramSpec(plane=IJ, max_i=0))
 

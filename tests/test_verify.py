@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from dyck4d import CheckResult, dynamics, identities, run_checks, verify
+
+GOLDEN = Path(__file__).parent / "data" / "verify_details.json"
 from dyck4d.dynamics import DynamicsTable
 
 
@@ -22,7 +27,7 @@ def test_rejects_negative_bound():
 
 
 def test_table_for_the_bound_is_built_once(monkeypatch):
-    # No check that builds its own table asks for 50 positions.
+    # Every check reads the one table; none builds a table of another size.
     sizes = []
     real = dynamics.build_table
 
@@ -31,8 +36,18 @@ def test_table_for_the_bound_is_built_once(monkeypatch):
         return real(max_i, **kwargs)
 
     monkeypatch.setattr(dynamics, "build_table", counting)
-    run_checks(50)
-    assert sizes.count(50) == 1
+    for bound in (0, 1, 14, 50, 64):
+        sizes.clear()
+        run_checks(bound)
+        assert sizes == [bound]
+
+
+@pytest.mark.parametrize("bound", ["0", "1", "13", "64", "128"])
+def test_details_match_golden(bound):
+    # Every check's name, order, outcome and detail text at five bounds.
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[bound]
+    got = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in run_checks(int(bound))]
+    assert got == expected
 
 
 def test_bumped_count_fails_oracle_and_recurrence(monkeypatch):
@@ -64,12 +79,10 @@ def test_sum_of_squares_builds_no_table(monkeypatch):
         raise AssertionError("sum-of-squares built a whole count table")
 
     monkeypatch.setattr(dynamics, "build_table", refuse)
-    assert verify._check_sum_of_squares(64, None) == CheckResult("sum-of-squares", True, "v <= 64")
+    assert verify._check_sum_of_squares(64, None) == (True, "v <= 64")
 
 
 def test_sum_of_squares_fails_on_a_wrong_term(monkeypatch):
     real = identities.square_term
     monkeypatch.setattr(identities, "square_term", lambda v, k: real(v, k) + ((v, k) == (37, 5)))
-    assert verify._check_sum_of_squares(64, None) == CheckResult(
-        "sum-of-squares", False, "identity fails at v = 37"
-    )
+    assert verify._check_sum_of_squares(64, None) == (False, "identity fails at v = 37")
