@@ -3,17 +3,16 @@
 Exit codes: 0 success, 1 domain or validation error (including usage
 errors), 2 resource limit.  All numeric output is exact decimal.
 
-Paths, rendering and verification are imported by the commands that use
-them, so a point query (catalan, dynamics, decompose) never loads them.
+Paths, rendering, verification, ``json`` and ``dataclasses`` load only where used:
+a point query (catalan, dynamics, decompose) loads none, nor ``inspect``, ``csv``, ``typing``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
-from typing import Sequence, TextIO
+from collections.abc import Sequence
+from io import TextIOBase
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
 from .dynamics import DEFAULT_POSITION_CAP, _check_bound, catalan, stream_table
@@ -86,7 +85,7 @@ def _parse_plane(text: str) -> Plane:
     return Plane.parse(name)
 
 
-def _cmd_dynamics(args, out: TextIO) -> int:
+def _cmd_dynamics(args, out: TextIOBase) -> int:
     if not is_reachable(args.i, args.j):
         print("0 (unreachable)", file=out)
         return 0
@@ -97,9 +96,10 @@ def _cmd_dynamics(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_decompose(args, out: TextIO) -> int:
+def _cmd_decompose(args, out: TextIOBase) -> int:
     dec = decompose_catalan(args.v)
     if args.json:
+        import json
         out.write(json.dumps(dec.to_json_dict(), indent=2) + "\n")
         return 0
     # decompose_catalan raised unless the squares sum to catalan(v).
@@ -109,12 +109,14 @@ def _cmd_decompose(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify(args, out: TextIO) -> int:
+def _cmd_verify(args, out: TextIOBase) -> int:
     from .verify import run_checks
 
     results = run_checks(args.max_i)
     failures = sum(not result.passed for result in results)
     if args.json:
+        import json
+        from dataclasses import asdict
         out.write(json.dumps([asdict(result) for result in results], indent=2) + "\n")
         return 0 if failures == 0 else 1
     for result in results:
@@ -124,7 +126,7 @@ def _cmd_verify(args, out: TextIO) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_project(args, out: TextIO) -> int:
+def _cmd_project(args, out: TextIOBase) -> int:
     from .paths import parse_word, project_path, trace
 
     plane = _parse_plane(args.plane)
@@ -138,7 +140,7 @@ def _cmd_project(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_render(args, out: TextIO) -> int:
+def _cmd_render(args, out: TextIOBase) -> int:
     from .paths import parse_word
     from .render import DiagramSpec, emit, layout
 
@@ -163,7 +165,7 @@ def _cmd_render(args, out: TextIO) -> int:
     return 0
 
 
-def _dispatch(args, out: TextIO) -> int:
+def _dispatch(args, out: TextIOBase) -> int:
     if args.command == "catalan":
         if args.n < 0:
             raise _UsageError(f"n must be nonnegative, got {args.n}")
@@ -191,8 +193,8 @@ def _dispatch(args, out: TextIO) -> int:
     raise _UsageError(f"unknown command {args.command!r}")
 
 
-def run(argv: Sequence[str] | None = None, *, stdout: TextIO | None = None,
-        stderr: TextIO | None = None) -> int:
+def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
+        stderr: TextIOBase | None = None) -> int:
     """Parse arguments, run one command, and return the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr

@@ -18,8 +18,7 @@ capped at ``MAX_COORD``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import NotANode
 
@@ -28,50 +27,91 @@ AXES = ("i", "j", "n", "k")
 MAX_COORD = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class Node:
+class _Value:
+    """Base of the value classes a point query loads: what ``@dataclass(frozen=True)``
+    gave them (field-wise ``==`` and hash, the repr without ``_`` fields, no assignment
+    or deletion, ``__match_args__``, pickle and copy) without importing ``dataclasses``.
+    Subclasses name their fields in ``__slots__`` and set them with ``object.__setattr__``.
+    ``paths``, ``render`` and ``verify`` keep dataclasses: they load only for slow commands."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Node(_Value):
     """A lattice node in canonical four-coordinate form."""
 
-    i: int
-    j: int
-    n: int
-    k: int
+    __slots__ = ("i", "j", "n", "k")
 
-    def __post_init__(self):
-        i, j, n, k = self.i, self.j, self.n, self.k
+    def __init__(self, i: int, j: int, n: int, k: int):
         # Fast path for valid nodes (n, i >= 0 follow); the loop words rejections.
-        if type(i) is type(j) is type(n) is type(k) is int and 0 <= k and 0 <= j:
-            if i <= MAX_COORD and i == n + k and j == n - k:
-                return
-        for name in AXES:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise NotANode(f"coordinate {name} must be an integer, got {value!r}")
-            if value < 0:
-                raise NotANode(f"coordinate {name} must be nonnegative, got {value}")
-        if self.i > MAX_COORD:
-            raise NotANode(f"position {self.i} exceeds the coordinate limit {MAX_COORD}")
-        if self.i != self.n + self.k or self.j != self.n - self.k:
-            raise NotANode(
-                f"({self.i}, {self.j}, {self.n}, {self.k}) "
-                "violates i = n + k, j = n - k"
-            )
+        if not (type(i) is type(j) is type(n) is type(k) is int and 0 <= k and 0 <= j
+                and i <= MAX_COORD and i == n + k and j == n - k):
+            for name, value in zip(AXES, (i, j, n, k)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise NotANode(f"coordinate {name} must be an integer, got {value!r}")
+                if value < 0:
+                    raise NotANode(f"coordinate {name} must be nonnegative, got {value}")
+            if i > MAX_COORD:
+                raise NotANode(f"position {i} exceeds the coordinate limit {MAX_COORD}")
+            if i != n + k or j != n - k:
+                raise NotANode(f"({i}, {j}, {n}, {k}) violates i = n + k, j = n - k")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    # Written out: render and the projection checks compare nodes in hot loops.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.i, self.j, self.n, self.k) == (other.i, other.j, other.n, other.k)
+
+    def __hash__(self):
+        return hash((self.i, self.j, self.n, self.k))
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(_Value):
     """An ordered selection of two or three distinct coordinate axes."""
 
-    axes: tuple[str, ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self):
-        if len(self.axes) not in (2, 3):
-            raise ValueError(f"a plane selects 2 or 3 axes, got {self.axes!r}")
-        if len(set(self.axes)) != len(self.axes):
-            raise ValueError(f"plane axes must be distinct, got {self.axes!r}")
-        for axis in self.axes:
+    def __init__(self, axes: Iterable[str]):
+        axes = tuple(axes)
+        if len(axes) not in (2, 3):
+            raise ValueError(f"a plane selects 2 or 3 axes, got {axes!r}")
+        if len(set(axes)) != len(axes):
+            raise ValueError(f"plane axes must be distinct, got {axes!r}")
+        for axis in axes:
             if axis not in AXES:
                 raise ValueError(f"unknown axis {axis!r}, expected one of {AXES}")
+        object.__setattr__(self, "axes", axes)
 
     @classmethod
     def parse(cls, name: str) -> "Plane":
@@ -93,18 +133,18 @@ PLANES_3D = tuple(Plane.parse(name) for name in ("ijn", "ijk", "nik", "jnk"))
 _IJ = PLANES_2D[0]
 
 
-@dataclass(frozen=True)
-class Isoline:
+class Isoline(_Value):
     """The family of nodes sharing one fixed coordinate value."""
 
-    family: str
-    index: int
+    __slots__ = ("family", "index")
 
-    def __post_init__(self):
-        if self.family not in AXES:
-            raise ValueError(f"unknown isoline family {self.family!r}")
-        if self.index < 0:
-            raise ValueError(f"isoline index must be nonnegative, got {self.index}")
+    def __init__(self, family: str, index: int):
+        if family not in AXES:
+            raise ValueError(f"unknown isoline family {family!r}")
+        if index < 0:
+            raise ValueError(f"isoline index must be nonnegative, got {index}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
 
 
 def _diag_from_ij(i: int, j: int) -> tuple[int, int]:
@@ -141,7 +181,7 @@ def node_from(plane: Plane, a: int, b: int) -> Node:
     """
     if plane.is_spatial:
         raise ValueError(f"node_from needs a two-axis plane, got {plane.name!r}")
-    n, k = _COMPLETIONS[tuple(plane.axes)](a, b)
+    n, k = _COMPLETIONS[plane.axes](a, b)
     return Node(n + k, n - k, n, k)
 
 

@@ -18,15 +18,12 @@ export order, as both writers emit them.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .coords import MAX_COORD, Node, iter_nodes
+from .coords import MAX_COORD, Node, _Value, iter_nodes
 from .errors import NotANode, OutOfRange, ResourceLimit, TableFormatError
 
 # Desk-scale guard against accidental huge builds; callers that really want
@@ -36,8 +33,7 @@ DEFAULT_POSITION_CAP = 4096
 TABLE_FORMAT = "dyck4d-table/1"
 
 
-@dataclass(frozen=True)
-class DynamicsTable:
+class DynamicsTable(_Value):
     """Immutable map from every reachable node with i <= max_i to its count.
 
     Column i stores counts densely by rising-diagonal index k (so the entry
@@ -45,8 +41,11 @@ class DynamicsTable:
     materialized and read as zero.
     """
 
-    max_i: int
-    _cols: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ("max_i", "_cols")
+
+    def __init__(self, max_i: int, _cols: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "max_i", max_i)
+        object.__setattr__(self, "_cols", _cols)
 
     def count(self, i: int, j: int) -> int:
         """Path-prefix count at (i, j); zero at unreachable positions."""
@@ -225,6 +224,7 @@ def _csv_record(row: list[str]) -> tuple[int, int, int, int, int]:
 
 def table_from_csv(text: str) -> DynamicsTable:
     """Rebuild a table from :func:`table_to_csv` output, a row at a time in export order."""
+    import csv
     # One line at a time: io.StringIO would hold a four-byte copy of each character.
     rows = csv.reader(line.group() for line in re.finditer(r".*\n|.+", text))
     try:
@@ -253,6 +253,7 @@ def _json_record(entry: object) -> tuple[int, int, int, int, int]:
 
 def table_from_json(text: str) -> DynamicsTable:
     """Rebuild a table from :func:`table_to_json` output; entries must be in export order."""
+    import json
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting

@@ -9,8 +9,8 @@ against each other on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .coords import _Value
 from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, _columns, catalan
 from .errors import DomainError, DyckError, ResourceLimit
 
@@ -74,13 +74,15 @@ def square_term_special(i: int, k: int) -> int:
     raise DomainError(f"no dedicated closed form for term {k} at column {i}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """Squares decomposition of one column: the squared terms sum to a
     Catalan number."""
 
-    v: int
-    terms: tuple[int, ...]
+    __slots__ = ("v", "terms")
+
+    def __init__(self, v: int, terms: tuple[int, ...]):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def sum_of_squares(self) -> int:

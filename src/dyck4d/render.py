@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Isoline, Node, Plane, planarity_equation, project
-from .dynamics import _check_count_digits, build_table
-from .errors import DomainError
+from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, build_table
+from .errors import DomainError, ResourceLimit
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
 # One color per isoline family, fixed so golden files stay stable.
@@ -26,6 +26,17 @@ HIGHLIGHT_COLOR = "#ffd700"
 # flipped only at emit time.
 SCALE = 40
 MARGIN = 40
+
+OUTPUT_BYTE_CAP = 1 << 25  # largest document, in bytes, that layout admits by _output_bound
+
+
+def _output_bound(max_i: int) -> int:
+    """Bytes a text or SVG diagram up to ``max_i`` can take: (max_i + 1)**2 grid cells
+    at most, each a space and a label of at most ``digits`` digits (no count in
+    column i passes 2**i; 0.30103 > log10(2)) or a quarter of an SVG node's under
+    200 bytes of markup, and 4096 for the SVG header, note and path."""
+    digits = max_i * 30103 // 100000 + 1
+    return (max_i + 1) ** 2 * (digits + 48) + 4096
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,8 @@ def layout(spec: DiagramSpec) -> Diagram:
     A three-axis plane is drawn as its first two axes: every three-axis
     view lies exactly on one plane, so the third axis carries no extra
     information and the diagram records which equation eliminated it.
-    Raises :class:`ResourceLimit` when a label would have more digits than
-    int/str conversion allows.
+    Raises :class:`ResourceLimit` before any table is built past the position
+    cap or ``OUTPUT_BYTE_CAP``, and when a label has too many digits for str().
     """
     plane = spec.plane
     note = None
@@ -98,6 +109,10 @@ def layout(spec: DiagramSpec) -> Diagram:
         )
         plane = flat
 
+    _check_bound(spec.max_i, DEFAULT_POSITION_CAP)  # the position cap is reported first
+    if (size := _output_bound(spec.max_i)) > OUTPUT_BYTE_CAP:
+        raise ResourceLimit(f"a diagram up to max_i = {spec.max_i} may take {size} bytes, "
+                            f"beyond the output cap of {OUTPUT_BYTE_CAP}")
     table = build_table(spec.max_i)
     _check_count_digits(max(map(max, table._cols)))
     placed = tuple(

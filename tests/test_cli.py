@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -247,6 +248,20 @@ class TestRender:
         code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", "")
         assert (code, out) == (1, "")
         assert err == "error: --svg needs a file path, got an empty one\n"
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])
+    def test_output_cap_refuses_at_once(self, tmp_path, svg):
+        # About 20 GB of text, or 10 GB of SVG, uncapped.
+        target = tmp_path / "big.svg"
+        start = time.perf_counter()
+        code, out, err = invoke(
+            "render", "--plane", "ij", "--max-i", "4096", *(["--svg", str(target)] if svg else [])
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit: a diagram up to max_i = 4096 may take ")
+        assert err.endswith(" bytes, beyond the output cap of 33554432\n")
+        assert not target.exists()
 
 
 # Each ends in an exit code and a one-line message, never a traceback.

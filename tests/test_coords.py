@@ -77,6 +77,13 @@ class TestPlane:
         with pytest.raises(ValueError):
             Plane.parse(bad)
 
+    def test_built_from_a_list_equals_the_parsed_plane(self):
+        plane = Plane(["j", "i"])
+        assert type(plane.axes) is tuple
+        assert plane == Plane.parse("ji")
+        assert hash(plane) == hash(Plane.parse("ji"))
+        assert {plane, Plane.parse("ji")} == {plane}
+
     def test_exactly_ten_planes(self):
         assert len({frozenset(p.axes) for p in PLANES_2D}) == 6
         assert len({frozenset(p.axes) for p in PLANES_3D}) == 4

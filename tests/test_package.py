@@ -78,14 +78,23 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_point_queries_load_no_paths_render_or_verify():
+    # Nor do they load these stdlib modules, beyond what a bare interpreter has;
+    # where site already loads one (some environments preload typing), only a
+    # clean interpreter, as in CI, checks it.
+    heavy = {"dataclasses", "inspect", "json", "csv", "typing"}
+    bare = set(eval(run_python("import sys; print(sorted(sys.modules))")))
     out = run_python(
         "import io, sys\n"
         "from dyck4d.cli import run\n"
-        "for argv in (['catalan', '5'], ['dynamics', '10', '2'], ['decompose', '10']):\n"
-        "    assert run(argv, stdout=io.StringIO()) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.startswith('dyck4d')))\n"
+        "print(sorted(sys.modules))\n"
+        "for argv, code in ((['catalan', '5'], 0), (['dynamics', '10', '2'], 0),\n"
+        "                   (['decompose', '10'], 0), (['catalan', '5000'], 2)):\n"
+        "    assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == code, argv\n"
+        "print(sorted(sys.modules))\n"
     )
-    loaded = eval(out)
+    imported, loaded = map(eval, out.splitlines())
+    assert not (set(imported) - bare) & heavy
+    assert not (set(loaded) - bare) & heavy
     assert {"dyck4d.cli", "dyck4d.dynamics", "dyck4d.identities"} <= set(loaded)
     assert not {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} & set(loaded)
 

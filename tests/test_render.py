@@ -195,3 +195,21 @@ def test_word_on_every_axis_order():
     # jnk flattens to jn, where a downstep moves left.
     diagram = layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4, word=parse_word("()()")))
     assert [move.kind for move in diagram.path.moves] == ["up-right", "left"] * 2
+
+
+@pytest.mark.parametrize("max_i", [0, 1, 2, 3, 5, 8, 13, 16, 21, 40, 64])
+def test_output_bound_covers_every_document(max_i):
+    word = parse_word("()" * (max_i // 2)) if max_i else None
+    for plane in PLANES_2D + PLANES_3D:
+        for fmt in ("text", "svg"):
+            document = emit(layout(DiagramSpec(plane=plane, max_i=max_i, word=word, fmt=fmt)))
+            assert len(document.encode()) <= render._output_bound(max_i), (plane.name, fmt)
+
+
+def test_output_cap_admits_the_largest_tested_render_and_refuses_before_the_table(monkeypatch):
+    assert render._output_bound(200) <= render.OUTPUT_BYTE_CAP  # the benchmark's largest render
+    monkeypatch.setattr(render, "build_table", None)  # refused before any build
+    with pytest.raises(ResourceLimit, match="beyond the output cap of 33554432"):
+        layout(DiagramSpec(plane=IJ, max_i=4096))
+    with pytest.raises(ResourceLimit, match="exceeds the position cap of 4096"):
+        layout(DiagramSpec(plane=IJ, max_i=4097))
