@@ -1,7 +1,9 @@
 """Command-line front end: every library capability behind one executable.
 
 Exit codes: 0 success, 1 domain or validation error (including usage
-errors), 2 resource limit.  All numeric output is exact decimal.
+errors) or output that cannot be written, 2 resource limit.  All numeric
+output is exact decimal.  A closed pipe (``| head``) ends a command quietly;
+any other write error prints one ``error: cannot write output`` line.
 
 Paths, rendering, verification, ``json`` and ``dataclasses`` load only where used:
 a point query (catalan, dynamics, decompose) loads none, nor ``inspect``, ``csv``, ``typing``.
@@ -201,7 +203,14 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args, out)
+        code = _dispatch(args, out)
+        out.flush()  # a write error in buffered output surfaces here, not at exit
+        return code
+    except BrokenPipeError:  # the reader went away, e.g. `| head`: nothing to report
+        return 1
+    except OSError as exc:  # the commands open no file but --svg, which reports its own
+        print(f"error: cannot write output: {exc.strerror or exc}", file=err)
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -18,7 +18,9 @@ capped at ``MAX_COORD``.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
+from itertools import permutations
 
 from .errors import NotANode
 
@@ -31,7 +33,8 @@ class _Value:
     """Base of the value classes a point query loads: what ``@dataclass(frozen=True)``
     gave them (field-wise ``==`` and hash, the repr without ``_`` fields, no assignment
     or deletion, ``__match_args__``, pickle and copy) without importing ``dataclasses``.
-    Subclasses name their fields in ``__slots__`` and set them with ``object.__setattr__``.
+    Subclasses name their fields in ``__slots__`` and set them with ``object.__setattr__``
+    (``Node``, built in hot loops, with its slots' own setters).
     ``paths``, ``render`` and ``verify`` keep dataclasses: they load only for slow commands."""
 
     __slots__ = ()
@@ -82,10 +85,10 @@ class Node(_Value):
                 raise NotANode(f"position {i} exceeds the coordinate limit {MAX_COORD}")
             if i != n + k or j != n - k:
                 raise NotANode(f"({i}, {j}, {n}, {k}) violates i = n + k, j = n - k")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_n(self, n)
+        _set_k(self, k)
 
     # Written out: render and the projection checks compare nodes in hot loops.
     def __eq__(self, other):
@@ -95,6 +98,17 @@ class Node(_Value):
 
     def __hash__(self):
         return hash((self.i, self.j, self.n, self.k))
+
+
+# The slots' setters skip _Value.__setattr__, which refuses every assignment.
+_set_i, _set_j, _set_n, _set_k = (Node.__dict__[axis].__set__ for axis in AXES)
+
+# Every ordered choice of two or three axes, to a getter of the node's coordinates
+# along them in that order: a fixed table, so ``project`` does one lookup and one call.
+_GETTERS = {
+    axes: operator.attrgetter(*axes)
+    for size in (2, 3) for axes in permutations(AXES, size)
+}
 
 
 class Plane(_Value):
@@ -179,9 +193,10 @@ def node_from(plane: Plane, a: int, b: int) -> Node:
     Raises :class:`NotANode` when no valid node has those coordinates,
     e.g. an odd coordinate sum in the ij plane, or j > i.
     """
-    if plane.is_spatial:
+    complete = _COMPLETIONS.get(plane.axes)
+    if complete is None:  # a plane has two or three axes, and every pair is a key
         raise ValueError(f"node_from needs a two-axis plane, got {plane.name!r}")
-    n, k = _COMPLETIONS[plane.axes](a, b)
+    n, k = complete(a, b)
     return Node(n + k, n - k, n, k)
 
 
@@ -192,7 +207,7 @@ def is_reachable(i: int, j: int) -> bool:
 
 def project(node: Node, plane: Plane) -> tuple[int, ...]:
     """The node's coordinates along the plane's axes, in the plane's order."""
-    return tuple([getattr(node, axis) for axis in plane.axes])
+    return _GETTERS[plane.axes](node)
 
 
 def isolines_through(node: Node) -> tuple[Isoline, Isoline, Isoline, Isoline]:
@@ -228,12 +243,21 @@ PLANARITY = {
 }
 
 
+# Every order of each equation's three axes, to its getter and coefficients in that order.
+_RESIDUALS = {
+    axes: (_GETTERS[axes], *map(coeffs.get, axes))
+    for coeffs in PLANARITY.values() for axes in permutations(coeffs)
+}
+
+
 def planarity_residual(node: Node, plane: Plane) -> int:
     """Value of the plane's linear equation at a node; zero for every valid node."""
-    if not plane.is_spatial:
+    terms = _RESIDUALS.get(plane.axes)
+    if terms is None:  # every three-axis order is a key
         raise ValueError(f"planarity applies to three-axis planes, got {plane.name!r}")
-    coeffs = PLANARITY[frozenset(plane.axes)]
-    return sum(c * getattr(node, axis) for axis, c in coeffs.items())
+    get, ca, cb, cc = terms
+    a, b, c = get(node)
+    return ca * a + cb * b + cc * c
 
 
 def planarity_equation(plane: Plane) -> str:

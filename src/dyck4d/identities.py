@@ -54,6 +54,25 @@ def square_term(i: int, k: int) -> int:
     return binomial(i, k) - binomial(i, k - 1)
 
 
+def square_terms(i: int, *, cap: int = DEFAULT_POSITION_CAP) -> tuple[int, ...]:
+    """Every term of column i, ``square_term(i, k)`` for k = 0 .. i // 2, in one pass.
+
+    Each binomial comes from the one before, C(i, k) = C(i, k-1) * (i-k+1) // k,
+    so no other column is read and the route stays independent of the recurrence.
+    """
+    if i < 0:
+        raise DomainError(f"square terms need i >= 0, got {i}")
+    if i > cap:
+        raise ResourceLimit(f"column {i} is beyond the position cap of {cap}")
+    terms = [1]
+    below = c = 1  # C(i, k-1) and C(i, k)
+    for k in range(1, i // 2 + 1):
+        c = c * (i - k + 1) // k
+        terms.append(c - below)
+        below = c
+    return tuple(terms)
+
+
 def square_term_special(i: int, k: int) -> int:
     """Term k at column i via its dedicated closed form.
 
@@ -106,9 +125,9 @@ class Decomposition(_Value):
 def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decomposition:
     """All squares-decomposition terms of column v, cross-checked two ways.
 
-    Terms come from the binomial closed form; each is checked against
-    column v of the recurrence, and the squared sum against the Catalan
-    number's own closed form.  A mismatch would mean a broken route and
+    Terms come from the binomial closed form (:func:`square_terms`); they are
+    checked against column v of the recurrence, and the squared sum against
+    the Catalan number's own closed form.  A mismatch would mean a broken route and
     raises.  The recurrence runs from the origin and keeps only its latest
     column, so memory stays at two columns rather than a whole table.  The
     cap applies to position 2v, where Cat(v) sits.
@@ -122,14 +141,13 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
         )
     for column in _columns(v):  # each replaces the last; column v remains
         pass
-    terms = tuple(square_term(v, k) for k in range(v // 2 + 1))
-    for k, term in enumerate(terms):
-        by_recurrence = column[k]
-        if term != by_recurrence:
-            raise DyckError(
-                f"inconsistent routes at (i={v}, k={k}): closed form {term}, "
-                f"recurrence {by_recurrence}"
-            )
+    terms = square_terms(v, cap=cap)
+    if terms != column:
+        k = _first_difference(terms, column)
+        raise DyckError(
+            f"inconsistent routes at (i={v}, k={k}): closed form {terms[k]}, "
+            f"recurrence {column[k]}"
+        )
     total = sum(t * t for t in terms)
     expected = catalan(v, cap=cap)
     if total != expected:
@@ -137,3 +155,8 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
             f"squares of column {v} sum to {total}, but catalan({v}) = {expected}"
         )
     return Decomposition(v, terms)
+
+
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Index of the first entry where two unequal columns differ (or where one ends)."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))

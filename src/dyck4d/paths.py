@@ -4,7 +4,8 @@ The enumeration and counting functions here are deliberately naive: they
 scan raw step sequences and keep the ones whose every prefix stays at or
 above ground level.  They share no logic with the recurrence tables they
 exist to cross-check.  The counter scans a column once and tallies every
-final height in that one pass; enumeration walks an explicit stack.
+final height in that one pass; enumeration walks an explicit stack of
+prefixes and ends each with the completions of its height, listed per call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .coords import Node, Plane
@@ -23,6 +25,7 @@ ENUMERATION_CAP = 16
 COUNT_SCAN_CAP = 14
 
 _STEP_FOR_PAREN = {"(": "U", ")": "D"}
+_HEIGHT_CHANGE = {"U": 1, "D": -1}
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,19 @@ class DyckWord:
     steps: str = ""
 
     def __post_init__(self):
+        # Fast path: a str of U and D whose running height never drops below zero.
+        # Anything else goes through the loop below, which words the rejection.
+        if type(self.steps) is str:
+            height = 0
+            try:
+                for step in self.steps:
+                    height += _HEIGHT_CHANGE[step]
+                    if height < 0:
+                        break
+                else:
+                    return
+            except KeyError:
+                pass
         height = 0
         for position, step in enumerate(self.steps, start=1):
             if step == "U":
@@ -153,10 +169,7 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     """
     if plane.is_spatial:
         raise ValueError(f"project_path needs a two-axis plane, got {plane.name!r}")
-    first, second = plane.axes
-    points = tuple(
-        (getattr(node, first), getattr(node, second)) for node in path.nodes
-    )
+    points = tuple(map(attrgetter(*plane.axes), path.nodes))
     moves = []
     for step, before, after in zip(path.word.steps, points, points[1:]):
         delta = (after[0] - before[0], after[1] - before[1])
@@ -175,14 +188,34 @@ def enumerate_words(m: int) -> Iterator[DyckWord]:
     return _generate(m)
 
 
+_TAIL = 12  # completions of 12 steps, from every height: 924 strings
+
+
+def _completions(length: int) -> dict[int, list[str]]:
+    """For each height h, every way to take ``length`` more steps from height h to
+    height 0 without going below it, in lexicographic order."""
+    finish = {0: [""]}
+    for r in range(1, length + 1):
+        finish = {
+            h: ["U" + s for s in finish.get(h + 1, ())] + ["D" + s for s in finish.get(h - 1, ())]
+            for h in range(r % 2, r + 1, 2)
+        }
+    return finish
+
+
 def _generate(m: int) -> Iterator[DyckWord]:
-    # Depth-first over (prefix, ups, downs); D is pushed before U so that the
-    # U branch pops first and words come out in lexicographic order.
+    # Depth-first over (prefix, ups, downs); D is pushed before U so that the U branch
+    # pops first and words come out in lexicographic order.  A prefix with _TAIL steps
+    # left is followed by each completion of its height in turn.
+    length = 2 * m
+    tail = min(length, _TAIL)
+    finish = _completions(tail)
     stack = [("", 0, 0)]
     while stack:
         steps, ups, downs = stack.pop()
-        if downs == m:
-            yield DyckWord(steps)
+        if ups + downs == length - tail:
+            for rest in finish[ups - downs]:
+                yield DyckWord(steps + rest)
             continue
         if downs < ups:
             stack.append((steps + "D", ups, downs + 1))

@@ -6,7 +6,9 @@ in run order, and :func:`run_checks` alone makes each :class:`CheckResult`,
 with the seconds the check took; the command line's ``verify`` subcommand
 prints one line per check, or one JSON record per check with ``--json``.
 Every check reads the one count table built for the bound; the Catalan
-numbers past it come from :func:`_catalans`, which holds two columns.
+numbers past it come from :func:`_catalans`, which holds two columns.  The
+closed forms are compared a column at a time (:func:`identities.square_terms`),
+and the point forms against those columns (:func:`_point_ks`).
 Checks that compare against the brute-force scanners clamp themselves to the
 scanners' hard caps.
 """
@@ -17,13 +19,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import coords, dynamics, identities, paths, render
-from .errors import NotANode, TableFormatError
+from .errors import DyckError, NotANode, TableFormatError
 
 GEOMETRY_SEED = 427531
 GEOMETRY_WORDS = 1000
+POINT_COLUMNS = 128  # see _point_ks; every golden bound lies within it
 
 _IJ = coords.PLANES_2D[0]
 _NK = coords.Plane.parse("nk")
@@ -93,21 +96,23 @@ def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
 
 
 def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+    node_from, project = coords.node_from, coords.project
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_2D:
             total += 1
-            if coords.node_from(plane, *coords.project(node, plane)) != node:
+            if node_from(plane, *project(node, plane)) != node:
                 return False, f"{plane.name} does not round-trip {node}"
     return True, f"{total} projections"
 
 
 def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+    residual = coords.planarity_residual
     total = 0
     for node in coords.iter_nodes(bound):
         for plane in coords.PLANES_3D:
             total += 1
-            if coords.planarity_residual(node, plane) != 0:
+            if residual(node, plane) != 0:
                 return False, f"{plane.name} residual nonzero at {node}"
     return True, f"{total} residuals, all zero"
 
@@ -169,29 +174,48 @@ def _check_oracle(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"{positions} positions, i <= {scan_bound}"
 
 
+def _point_ks(i: int, lo: int = 0) -> Iterable[int]:
+    """The k in ``lo`` .. i // 2 at which a check compares a point form of column i
+    with the column form: all of them in columns up to POINT_COLUMNS, else the
+    k that ``square_term_special`` covers."""
+    if i <= POINT_COLUMNS:
+        return range(lo, i // 2 + 1)
+    return sorted({k for k in (0, 1, 2, i // 2) if lo <= k})
+
+
 def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     total = 0
-    for i in range(bound + 1):
-        for k in range(i // 2 + 1):
-            total += 1
-            if identities.square_term(i, k) != table.count(i, i - 2 * k):
-                return False, f"closed form disagrees at (i={i}, k={k})"
+    for i, col in enumerate(table._cols):
+        terms = identities.square_terms(i)
+        total += len(col)
+        if terms != col:
+            k = identities._first_difference(terms, col)
+            return False, f"closed form disagrees at (i={i}, k={k})"
+        for k in _point_ks(i):
+            if identities.square_term(i, k) != terms[k]:
+                return False, f"square_term disagrees with its column at (i={i}, k={k})"
     return True, f"{total} terms, i <= {bound}"
 
 
 def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
-    # Entry j = 0 of row n is compared with count(2n, 0), the Catalan number.
-    for n in range(bound // 2 + 1):
-        for j in range(n + 1):
-            if identities.convolution(n, j) != table.count(2 * n - j, j):
-                return False, f"matrix entry disagrees at (n={n}, j={j})"
-    return True, f"n <= {bound // 2}"
+    # Entry (n, j) is count(2n - j, j): column i = 2n - j at k = n - j.  So column i
+    # holds the entries of rows n = i - k <= bound // 2, those with k >= i - bound // 2.
+    half = bound // 2
+    for i, col in enumerate(table._cols):
+        lo = max(0, i - half)
+        terms = identities.square_terms(i)
+        if terms[lo:] != col[lo:]:
+            k = lo + identities._first_difference(terms[lo:], col[lo:])
+            return False, f"matrix entry disagrees at (n={i - k}, j={i - 2 * k})"
+        for k in _point_ks(i, lo):
+            if identities.convolution(i - k, i - 2 * k) != terms[k]:
+                return False, f"convolution disagrees with its column at (n={i - k}, j={i - 2 * k})"
+    return True, f"n <= {half}"
 
 
 def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     for v, cat in enumerate(_catalans(bound)):
-        total = sum(identities.square_term(v, k) ** 2 for k in range(v // 2 + 1))
-        if total != cat:
+        if sum(t * t for t in identities.square_terms(v)) != cat:
             return False, f"identity fails at v = {v}"
     return True, f"v <= {bound}"
 
@@ -214,7 +238,10 @@ def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> _Outcome
     limit = min(bound, 40)
     cats = list(_catalans(limit))
     for v in range(limit + 1):
-        dec = identities.decompose_catalan(v)
+        try:
+            dec = identities.decompose_catalan(v)
+        except DyckError as exc:  # its closed form and recurrence disagreed
+            return False, f"decompose_catalan({v}) raised: {exc}"
         if dec.terms[0] != 1:
             return False, f"first term not 1 at v = {v}"
         if dec.terms[-1] != cats[(v + 1) // 2]:

@@ -1,10 +1,15 @@
+import errno
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dyck4d
 from dyck4d import CheckResult, build_table, cli, dynamics, table_to_csv, table_to_json, verify
 from dyck4d.cli import run
 from dyck4d.dynamics import TABLE_FORMAT
@@ -307,3 +312,41 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "dyck4d" in capsys.readouterr().out
+
+
+class _FullDisk(io.StringIO):
+    """A stdout whose writes, or only its flush, fail as on a full disk."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputErrors:
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # As `dyck4d table --max-i 300 | head -c 10`: the reader closes after 10 bytes.
+        code = "import sys; from dyck4d.cli import main; sys.argv[1:] = ['table', '--max-i', '300']; main()"
+        src = str(Path(dyck4d.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.read(10) == b"i,j,n,k,co"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""  # no traceback, no "Exception ignored" at exit
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["enumerate", "3"], ["table", "--max-i", "3"], ["catalan", "3"]])
+    def test_other_write_errors_exit_1_with_one_line(self, failing, argv):
+        err = io.StringIO()
+        assert run(argv, stdout=_FullDisk(failing), stderr=err) == 1
+        assert err.getvalue() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"

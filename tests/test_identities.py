@@ -15,6 +15,7 @@ from dyck4d import (
     square_term_special,
 )
 from dyck4d import identities
+from dyck4d.dynamics import _columns
 from dyck4d.errors import DomainError, ResourceLimit
 
 from conftest import needs_digit_limit
@@ -87,6 +88,23 @@ class TestSquareTerm:
     def test_domain(self, i, k):
         with pytest.raises(DomainError):
             square_term(i, k)
+
+
+class TestSquareTerms:
+    def test_equals_every_recurrence_column(self):
+        for i, column in enumerate(_columns(300)):
+            assert identities.square_terms(i) == column, i
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 7, 64, 301, 1024])
+    def test_equals_the_point_terms(self, i):
+        assert identities.square_terms(i) == tuple(square_term(i, k) for k in range(i // 2 + 1))
+
+    def test_domain_and_cap(self):
+        with pytest.raises(DomainError, match=r"^square terms need i >= 0, got -1$"):
+            identities.square_terms(-1)
+        with pytest.raises(ResourceLimit, match=r"^column 13 is beyond the position cap of 12$"):
+            identities.square_terms(13, cap=12)
+        assert identities.square_terms(12, cap=12) == (1, 11, 54, 154, 275, 297, 132)
 
 
 class TestSquareTermSpecial:

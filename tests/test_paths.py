@@ -86,6 +86,58 @@ class TestParsing:
         assert format_words(words) == "()\n(())\n()()\n"
 
 
+def reference_validate(steps):
+    """DyckWord's check as it was before its fast path: one character at a time."""
+    height = 0
+    for position, step in enumerate(steps, start=1):
+        if step == "U":
+            height += 1
+        elif step == "D":
+            height -= 1
+        else:
+            raise InvalidCharacter(
+                f"step {position}: expected 'U' or 'D', got {step!r}"
+            )
+        if height < 0:
+            raise PrefixViolation(position)
+
+
+def outcome(validate, steps):
+    try:
+        validate(steps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def near_words(draw):
+    """A valid prefix with at most one extra character put in somewhere."""
+    steps = random_valid_word(random.Random(draw(st.integers(0, 2**16))),
+                              draw(st.integers(0, 12))).steps
+    steps = steps[: draw(st.integers(0, len(steps)))]
+    cut = draw(st.integers(0, len(steps)))
+    return steps[:cut] + draw(st.sampled_from(["", "U", "D", "x", ")", "DD"])) + steps[cut:]
+
+
+word_inputs = st.one_of(
+    st.text(alphabet="UD()x", max_size=30),
+    st.just(""),
+    near_words(),
+    st.integers(),
+    st.none(),
+    st.binary(max_size=6),
+    st.lists(st.sampled_from(["U", "D", "x", "UD", 1, None]), max_size=8),
+    st.lists(st.sampled_from("UD"), max_size=8).map(tuple),
+)
+
+
+@given(word_inputs)
+def test_validation_matches_the_per_character_loop(steps):
+    # Same words accepted; on rejection the same exception class and message.
+    assert outcome(DyckWord, steps) == outcome(reference_validate, steps)
+
+
 class TestTrace:
     def test_single_arch(self):
         path = trace(parse_word("()"))

@@ -42,9 +42,10 @@ def test_table_for_the_bound_is_built_once(monkeypatch):
         assert sizes == [bound]
 
 
-@pytest.mark.parametrize("bound", ["0", "1", "13", "64", "128"])
+@pytest.mark.parametrize("bound", ["0", "1", "13", "64", "128", "512"])
 def test_details_match_golden(bound):
-    # Every check's name, order, outcome and detail text at five bounds.
+    # Every check's name, order, outcome and detail text at six bounds; 512 reaches the
+    # columns where the point forms are compared at four entries only.
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[bound]
     got = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in run_checks(int(bound))]
     assert got == expected
@@ -82,7 +83,51 @@ def test_sum_of_squares_builds_no_table(monkeypatch):
     assert verify._check_sum_of_squares(64, None) == (True, "v <= 64")
 
 
+def bump_column_term(monkeypatch, i=37, k=5):
+    """Make ``identities.square_terms`` one too high at (i, k)."""
+    real = identities.square_terms
+
+    def bumped(column, **kwargs):
+        terms = real(column, **kwargs)
+        return terms[:k] + (terms[k] + 1,) + terms[k + 1:] if column == i else terms
+
+    monkeypatch.setattr(identities, "square_terms", bumped)
+
+
 def test_sum_of_squares_fails_on_a_wrong_term(monkeypatch):
-    real = identities.square_term
-    monkeypatch.setattr(identities, "square_term", lambda v, k: real(v, k) + ((v, k) == (37, 5)))
+    bump_column_term(monkeypatch)
     assert verify._check_sum_of_squares(64, None) == (False, "identity fails at v = 37")
+
+
+def test_a_wrong_column_term_fails_every_check_that_reads_it(monkeypatch):
+    bump_column_term(monkeypatch)
+    details = {r.name: r.detail for r in run_checks(64) if not r.passed}
+    assert details == {
+        "square-terms": "closed form disagrees at (i=37, k=5)",
+        "convolution-matrix": "matrix entry disagrees at (n=32, j=27)",  # column 37, k = 5
+        "sum-of-squares": "identity fails at v = 37",
+        "decomposition": "decompose_catalan(37) raised: inconsistent routes at (i=37, k=5): "
+        "closed form 369853, recurrence 369852",
+    }
+
+
+def test_a_wrong_point_term_fails_the_checks_that_call_it(monkeypatch):
+    real = identities.square_term
+    monkeypatch.setattr(identities, "square_term", lambda i, k: real(i, k) + ((i, k) == (37, 5)))
+    details = {r.name: r.detail for r in run_checks(64) if not r.passed}
+    assert details == {
+        "square-terms": "square_term disagrees with its column at (i=37, k=5)",
+        "convolution-matrix": "convolution disagrees with its column at (n=32, j=27)",
+    }
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 100])
+def test_point_terms_past_the_point_columns_are_checked_at_the_special_k(monkeypatch, k):
+    real = identities.square_term
+    monkeypatch.setattr(identities, "square_term", lambda i, kk: real(i, kk) + ((i, kk) == (200, k)))
+    table = dynamics.build_table(200)
+    assert verify._check_square_terms(200, table) == (
+        False, f"square_term disagrees with its column at (i=200, k={k})"
+    )
+    # Column 200 holds one matrix entry at bound 200: row n = 100, j = 0, at k = 100.
+    assert verify._check_convolution(200, table)[0] == (k != 100)
