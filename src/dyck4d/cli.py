@@ -33,6 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    """An integer argument in ASCII digits: int() alone also reads '١٢' or '３'."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's own text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="dyck4d",
@@ -42,22 +52,22 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalan", help="print the N-th Catalan number")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
 
     p = sub.add_parser("table", help="export the count table")
-    p.add_argument("--max-i", type=int, required=True, dest="max_i")
+    p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dynamics", help="print the count at (I, J) and the full node")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p.add_argument("i", type=_int)
+    p.add_argument("j", type=_int)
 
     p = sub.add_parser("decompose", help="squares decomposition of column V")
-    p.add_argument("v", type=int)
+    p.add_argument("v", type=_int)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("--max-i", type=int, required=True, dest="max_i")
+    p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--json", action="store_true",
                    help="one record per check: name, passed, detail, seconds")
 
@@ -66,11 +76,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("enumerate", help="list all complete words of semilength M")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=_int)
 
     p = sub.add_parser("render", help="draw a diagram of a planar view")
     p.add_argument("--plane", required=True)
-    p.add_argument("--max-i", type=int, required=True, dest="max_i")
+    p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--word")
     p.add_argument("--svg", metavar="PATH", help="write SVG here instead of text to stdout")
     p.add_argument("--isolines", default="ijnk", help="families to draw, e.g. 'nk'")

@@ -11,9 +11,15 @@ with absent predecessors contributing zero (``_next_column``, which import
 validation reruns; ``_columns`` runs it from the origin), and hold exact
 Python integers throughout.  Export and import go one column at a time
 (i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
-entry): ``stream_table`` writes an export holding two columns, and an import
-checks each column as soon as it is complete, so its records must come in
-export order, as both writers emit them.
+entry): ``stream_table`` writes an export holding two columns.  Since one
+recurrence fixes the table, a valid file is the export of ``_columns(max_i)``,
+so an import first matches the text against that export column by column,
+formatted from the writer's own pieces (``_FORMATS``) and never whole, and
+returns the recurrence's columns at a full match.  At the first byte that
+differs it hands the whole text to the format's parser (a re-formatted file,
+such as compact JSON or CRLF lines, is valid too), which words every
+rejection: it checks each column as soon as it is complete, so records must
+come in export order, as both writers emit them.
 """
 
 from __future__ import annotations
@@ -119,10 +125,34 @@ def _check_str_digits(digits: int) -> None:
         raise ResourceLimit(f"a count of up to {digits} digits is beyond the int/str limit {limit}")
 
 
+def _max_digits(bits: int) -> int:
+    """The most decimal digits a count of ``bits`` bits can have."""
+    return math.floor(bits * math.log10(2)) + 1
+
+
 def _check_count_digits(largest: int) -> None:
     """Raise ResourceLimit before str() of any count up to ``largest`` fails."""
-    # A count of b bits has at most floor(b * log10(2)) + 1 decimal digits.
-    _check_str_digits(math.floor(largest.bit_length() * math.log10(2)) + 1)
+    _check_str_digits(_max_digits(largest.bit_length()))
+
+
+# Per format: the header (JSON's takes max_i), the entry template, the separator
+# between entries and between columns, and the tail.  The writer and the
+# exact-bytes import both read it, so their bytes cannot drift apart.  JSON is
+# byte for byte json.dumps(doc, indent=2); no int or digit string needs escaping.
+_FORMATS = {
+    "csv": ("i,j,n,k,count\n", "{},{},{},{},{}", "\n", "\n"),
+    "json": (
+        '{{\n  "format": "' + TABLE_FORMAT + '",\n  "max_i": {},\n  "entries": [\n',
+        '    {{\n      "i": {},\n      "j": {},\n      "n": {},\n      "k": {},\n'
+        '      "count": "{}"\n    }}',
+        ",\n",
+        "\n  ]\n}\n",
+    ),
+}
+
+
+def _column_text(entry: str, sep: str, i: int, col: tuple[int, ...]) -> str:
+    return sep.join([entry.format(i, i - 2 * k, i - k, k, v) for k, v in enumerate(col)])
 
 
 def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
@@ -130,18 +160,12 @@ def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
     """The ``fmt`` export of ``columns`` in pieces, per column and separator,
     none before the digit limit is checked for counts up to ``largest``."""
     _check_count_digits(largest)
-    if fmt == "csv":
-        yield "i,j,n,k,count\n"
-        entry, sep, tail = "{},{},{},{},{}", "\n", "\n"
-    else:  # byte for byte json.dumps(doc, indent=2); no int or digit string needs escaping
-        yield f'{{\n  "format": "{TABLE_FORMAT}",\n  "max_i": {max_i},\n  "entries": [\n'
-        entry = '    {{\n      "i": {},\n      "j": {},\n      "n": {},\n      "k": {},\n'
-        entry += '      "count": "{}"\n    }}'
-        sep, tail = ",\n", "\n  ]\n}\n"
+    header, entry, sep, tail = _FORMATS[fmt]
+    yield header.format(max_i)
     for i, col in enumerate(columns):
         if i:
             yield sep
-        yield sep.join([entry.format(i, i - 2 * k, i - k, k, v) for k, v in enumerate(col)])
+        yield _column_text(entry, sep, i, col)
     yield tail
 
 
@@ -222,8 +246,52 @@ def _csv_record(row: list[str]) -> tuple[int, int, int, int, int]:
     return i, j, n, k, _parse_count(row[4])
 
 
+def _exact_table(text: str, fmt: str) -> DynamicsTable | None:
+    """The table whose ``fmt`` export is ``text`` byte for byte, or None from the
+    first byte that differs.  Each column of the recurrence is formatted as the
+    writer formats it and matched in place, so the whole expected text is never
+    built; JSON reads max_i from its header, a CSV export ends where the text does."""
+    if not isinstance(text, str):  # e.g. bytes, which json.loads takes too
+        return None
+    header, entry, sep, tail = _FORMATS[fmt]
+    max_i = None
+    if "{}" in header:  # JSON declares max_i in its header
+        head = header.partition("{}")[0].format()
+        # A dozen characters at most: int() of thousands of digits would fail.
+        digits = text[len(head) : len(head) + 12].partition(",")[0]
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        max_i = int(digits)
+    header = header.format(max_i)
+    if not text.startswith(header):
+        return None
+    pos, cols = len(header), []
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # Each column takes at least one character, so the text bounds a CSV's columns.
+    for i, col in enumerate(_columns(len(text) if max_i is None else max_i)):
+        if digit_limit and _max_digits(i + 1) > digit_limit:  # column i's counts are <= 2**i
+            return None  # the parser raises ResourceLimit where a count passes the limit
+        piece = _column_text(entry, sep, i, col)
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+        cols.append(col)
+        if i == max_i or (max_i is None and len(text) - pos == len(tail)):
+            return DynamicsTable(i, tuple(cols)) if text[pos:] == tail else None
+        if not text.startswith(sep, pos):
+            return None
+        pos += len(sep)
+    return None
+
+
 def table_from_csv(text: str) -> DynamicsTable:
-    """Rebuild a table from :func:`table_to_csv` output, a row at a time in export order."""
+    """Rebuild a table from :func:`table_to_csv` output: byte for byte, column by
+    column, if it is one; else parsed a row at a time in export order."""
+    table = _exact_table(text, "csv")
+    return _parse_csv(text) if table is None else table
+
+
+def _parse_csv(text: str) -> DynamicsTable:
     import csv
     # One line at a time: io.StringIO would hold a four-byte copy of each character.
     rows = csv.reader(line.group() for line in re.finditer(r".*\n|.+", text))
@@ -252,7 +320,13 @@ def _json_record(entry: object) -> tuple[int, int, int, int, int]:
 
 
 def table_from_json(text: str) -> DynamicsTable:
-    """Rebuild a table from :func:`table_to_json` output; entries must be in export order."""
+    """Rebuild a table from :func:`table_to_json` output: byte for byte, column by
+    column, if it is one; else parsed, with entries in export order."""
+    table = _exact_table(text, "json")
+    return _parse_json(text) if table is None else table
+
+
+def _parse_json(text: str) -> DynamicsTable:
     import json
     try:
         doc = json.loads(text)

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dyck4d
 from dyck4d import CheckResult, build_table, cli, dynamics, table_to_csv, table_to_json, verify
@@ -285,6 +286,7 @@ BAD_ARGV = [
     ["render", "--plane", "ij", "--max-i", "2", "--word", "(())"],
     ["render", "--plane", "ij", "--max-i", "2", "--isolines", "xyz"],
     ["render", "--plane", "ij", "--max-i", "2", "--svg", "."],
+    ["catalan", "\u0661\u0662"], ["table", "--max-i", "\uff13"],  # int() reads both as 12 and 3
 ]
 
 
@@ -294,6 +296,83 @@ def test_bad_arguments_exit_without_traceback(argv):
     assert code in (1, 2)
     assert out == ""
     assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 1 else "resource limit: ")
+
+
+# Generated bad vectors: one valid, small command with one fault put in.
+_NEGATIVE = st.integers(-99, -1).map(str)
+_NON_INTEGER = st.sampled_from(["x", "", "1.5", "1e3", "0x10", "one", "--", "5-"])
+_NON_ASCII_DIGITS = st.sampled_from(["\u0661\u0662", "\uff13", "\u00b2", "\u0969", "1\u0663"])
+_NOT_A_COUNT = st.one_of(_NON_INTEGER, _NON_ASCII_DIGITS)
+
+
+def _over(cap):
+    return st.integers(cap + 1, 10**30).map(str)
+
+
+_BAD_PLANE = st.sampled_from(["xy", "ji", "ijn", "", "i", "\uff49\uff4a", "ij k"])
+_BAD_FORMAT = st.sampled_from(["xml", "CSV", "", "jsonl"])
+_BAD_ISOLINES = st.sampled_from(["xyz", "q", "i,j", "\u00df", "\u0130"])
+_BAD_WORD = st.sampled_from([")(", "(x)", "())", ")", "U", "\u00fc"])  # "((" is a valid prefix
+
+# Per command: required slots, then optional ones, each (flag, or None for a
+# positional; valid values, None for a bare flag; bad values, if any).
+_COMMANDS = {
+    "catalan": ([(None, st.integers(0, 6), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(2048)))], []),
+    "table": ([("--max-i", st.integers(0, 4), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(4096)))],
+              [("--format", st.sampled_from(["csv", "json"]), _BAD_FORMAT)]),
+    # A negative or unreachable (i, j) reads 0, so the bad i past the cap is
+    # even, as is every valid i, with j = 0.
+    "dynamics": ([(None, st.integers(0, 3).map(lambda i: 2 * i),
+                   st.one_of(_NOT_A_COUNT, st.integers(2049, 10**6).map(lambda i: 2 * i))),
+                  (None, st.just(0), _NOT_A_COUNT)], []),
+    "decompose": ([(None, st.integers(0, 5), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(2048)))],
+                  [("--json", None, None)]),
+    "verify": ([("--max-i", st.integers(0, 3), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(4096)))],
+               [("--json", None, None)]),
+    "project": ([("--plane", st.sampled_from(["ij", "NK", " in "]), _BAD_PLANE),
+                 ("--word", st.sampled_from(["()", "(())", "(()"]), _BAD_WORD)], []),
+    "enumerate": ([(None, st.integers(0, 3), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(16)))], []),
+    "render": ([("--plane", st.sampled_from(["ij", "kj", "IK"]), _BAD_PLANE),
+                ("--max-i", st.integers(2, 4), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(4096)))],
+               [("--word", st.just("()"), _BAD_WORD),
+                ("--isolines", st.sampled_from(["nk", "IJ"]), _BAD_ISOLINES)]),
+}
+
+
+@st.composite
+def bad_argv(draw):
+    """A small valid command with one fault: a bad value, a required argument
+    left out, an unknown flag, or an unknown command."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    slots = required + [slot for slot in optional if draw(st.booleans())]
+    values = [None if valid is None else draw(valid) for _, valid, _ in slots]
+    fault = draw(st.sampled_from(["value", "missing", "unknown flag", "unknown command"]))
+    if fault == "value":
+        at = draw(st.sampled_from([n for n, (_, _, bad) in enumerate(slots) if bad is not None]))
+        values[at] = draw(slots[at][2])
+    elif fault == "missing":
+        at = draw(st.integers(0, len(required) - 1))
+        del slots[at], values[at]
+    argv = [command]
+    for (flag, _, _), value in zip(slots, values):
+        argv += [part for part in (flag, value) if part is not None]
+    if fault == "unknown flag":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--frobnicate", "-z"])))
+    elif fault == "unknown command":
+        argv[0] = draw(st.sampled_from(["frobnicate", "Catalan", "", "tabel", "\u00e9"]))
+    return [str(part) for part in argv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_argv())
+def test_generated_bad_arguments_exit_with_one_line(argv):
+    code, out, err = invoke(*argv)
+    assert code in (1, 2), (argv, code, out[:200])
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
     assert err.startswith("error: " if code == 1 else "resource limit: ")
 
 

@@ -99,6 +99,22 @@ def test_point_queries_load_no_paths_render_or_verify():
     assert not {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} & set(loaded)
 
 
+def test_importing_an_export_loads_no_json_or_csv():
+    # An export is matched against the recurrence's own bytes; only a text that
+    # differs from it reaches the json or csv parser.
+    bare = set(eval(run_python("import sys; print(sorted(sys.modules))")))
+    out = run_python(
+        "import sys\n"
+        "from dyck4d.dynamics import (build_table, table_from_csv, table_from_json,\n"
+        "                             table_to_csv, table_to_json)\n"
+        "table = build_table(64)\n"
+        "assert table_from_csv(table_to_csv(table)) == table\n"
+        "assert table_from_json(table_to_json(table)) == table\n"
+        "print(sorted(sys.modules))\n"
+    )
+    assert not (set(eval(out)) - bare) & {"json", "csv"}
+
+
 def test_import_loads_a_module_on_first_use():
     out = run_python(
         "import sys, dyck4d\n"
