@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 domain or validation error (including usage
 errors) or output that cannot be written, 2 resource limit.  All numeric
-output is exact decimal.  A closed pipe (``| head``) ends a command quietly;
+output is exact decimal, and every count passes the int/str digit check
+before the first byte.  A closed pipe (``| head``) ends a command quietly;
 any other write error prints one ``error: cannot write output`` line.
 
-Paths, rendering, verification, ``json`` and ``dataclasses`` load only where used:
-a point query (catalan, dynamics, decompose) loads none, nor ``inspect``, ``csv``, ``typing``.
+Paths, rendering, verification and ``json`` load only where used: a point query
+(catalan, dynamics, decompose) loads none, nor ``dataclasses``, ``inspect``, ``csv``, ``typing``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import Sequence
 from io import TextIOBase
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
-from .dynamics import DEFAULT_POSITION_CAP, _check_bound, catalan, stream_table
+from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, catalan, stream_table
 from .errors import DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
 
@@ -53,30 +54,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("catalan", help="print the N-th Catalan number")
     p.add_argument("n", type=_int)
+    p.set_defaults(run=_cmd_catalan)
 
     p = sub.add_parser("table", help="export the count table")
     p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("dynamics", help="print the count at (I, J) and the full node")
     p.add_argument("i", type=_int)
     p.add_argument("j", type=_int)
+    p.set_defaults(run=_cmd_dynamics)
 
     p = sub.add_parser("decompose", help="squares decomposition of column V")
     p.add_argument("v", type=_int)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--json", action="store_true",
                    help="one record per check: name, passed, detail, seconds")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("project", help="project a word's path onto a plane")
     p.add_argument("--plane", required=True)
     p.add_argument("--word", required=True)
+    p.set_defaults(run=_cmd_project)
 
     p = sub.add_parser("enumerate", help="list all complete words of semilength M")
     p.add_argument("m", type=_int)
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("render", help="draw a diagram of a planar view")
     p.add_argument("--plane", required=True)
@@ -84,6 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--word")
     p.add_argument("--svg", metavar="PATH", help="write SVG here instead of text to stdout")
     p.add_argument("--isolines", default="ijnk", help="families to draw, e.g. 'nk'")
+    p.set_defaults(run=_cmd_render)
 
     return parser
 
@@ -97,6 +106,18 @@ def _parse_plane(text: str) -> Plane:
     return Plane.parse(name)
 
 
+def _cmd_catalan(args, out: TextIOBase) -> int:
+    value = catalan(args.n)
+    _check_count_digits(value)
+    print(value, file=out)
+    return 0
+
+
+def _cmd_table(args, out: TextIOBase) -> int:
+    out.writelines(stream_table(args.max_i, args.format))
+    return 0
+
+
 def _cmd_dynamics(args, out: TextIOBase) -> int:
     if not is_reachable(args.i, args.j):
         print("0 (unreachable)", file=out)
@@ -104,19 +125,20 @@ def _cmd_dynamics(args, out: TextIOBase) -> int:
     _check_bound(args.i, DEFAULT_POSITION_CAP)
     node = node_from(Plane.parse("ij"), args.i, args.j)
     value = square_term(node.i, node.k)
+    _check_count_digits(value)
     print(f"{value} (i={node.i}, j={node.j}, n={node.n}, k={node.k})", file=out)
     return 0
 
 
 def _cmd_decompose(args, out: TextIOBase) -> int:
-    dec = decompose_catalan(args.v)
+    doc = decompose_catalan(args.v).to_json_dict()  # every count as a checked string
     if args.json:
         import json
-        out.write(json.dumps(dec.to_json_dict(), indent=2) + "\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
         return 0
     # decompose_catalan raised unless the squares sum to catalan(v).
-    print("terms: " + ",".join(str(t) for t in dec.terms), file=out)
-    print(f"sum-of-squares: {dec.sum_of_squares}", file=out)
+    print("terms: " + ",".join(doc["terms"]), file=out)
+    print(f"sum-of-squares: {doc['catalan']}", file=out)
     print("status: OK", file=out)
     return 0
 
@@ -125,17 +147,16 @@ def _cmd_verify(args, out: TextIOBase) -> int:
     from .verify import run_checks
 
     results = run_checks(args.max_i)
-    failures = sum(not result.passed for result in results)
+    passed = sum(result.passed for result in results)
     if args.json:
         import json
-        from dataclasses import asdict
-        out.write(json.dumps([asdict(result) for result in results], indent=2) + "\n")
-        return 0 if failures == 0 else 1
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}", file=out)
-    print(f"{len(results) - failures}/{len(results)} checks passed", file=out)
-    return 0 if failures == 0 else 1
+        out.write(json.dumps([vars(result) for result in results], indent=2) + "\n")
+    else:
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status} {result.name}: {result.detail}", file=out)
+        print(f"{passed}/{len(results)} checks passed", file=out)
+    return 0 if passed == len(results) else 1
 
 
 def _cmd_project(args, out: TextIOBase) -> int:
@@ -149,6 +170,14 @@ def _cmd_project(args, out: TextIOBase) -> int:
     for move, (x, y) in zip(projected.moves, projected.points[1:]):
         dx, dy = move.delta
         print(f"{move.step} {move.kind} ({dx:+d},{dy:+d}) -> ({x},{y})", file=out)
+    return 0
+
+
+def _cmd_enumerate(args, out: TextIOBase) -> int:
+    from .paths import enumerate_words, format_word
+
+    for word in enumerate_words(args.m):
+        print(format_word(word), file=out)
     return 0
 
 
@@ -177,43 +206,14 @@ def _cmd_render(args, out: TextIOBase) -> int:
     return 0
 
 
-def _dispatch(args, out: TextIOBase) -> int:
-    if args.command == "catalan":
-        if args.n < 0:
-            raise _UsageError(f"n must be nonnegative, got {args.n}")
-        print(catalan(args.n), file=out)
-        return 0
-    if args.command == "table":
-        out.writelines(stream_table(args.max_i, args.format))
-        return 0
-    if args.command == "dynamics":
-        return _cmd_dynamics(args, out)
-    if args.command == "decompose":
-        return _cmd_decompose(args, out)
-    if args.command == "verify":
-        return _cmd_verify(args, out)
-    if args.command == "project":
-        return _cmd_project(args, out)
-    if args.command == "enumerate":
-        from .paths import enumerate_words, format_word
-
-        for word in enumerate_words(args.m):
-            print(format_word(word), file=out)
-        return 0
-    if args.command == "render":
-        return _cmd_render(args, out)
-    raise _UsageError(f"unknown command {args.command!r}")
-
-
 def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
         stderr: TextIOBase | None = None) -> int:
     """Parse arguments, run one command, and return the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _dispatch(args, out)
+        args = _build_parser().parse_args(argv)
+        code = args.run(args, out)
         out.flush()  # a write error in buffered output surfaces here, not at exit
         return code
     except BrokenPipeError:  # the reader went away, e.g. `| head`: nothing to report

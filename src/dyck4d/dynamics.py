@@ -83,6 +83,11 @@ def _next_column(prev: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([a + b for a, b in zip(padded, padded[1 : i // 2 + 2])])
 
 
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Index of the first entry where two unequal columns differ (or where one ends)."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def _columns(max_i: int) -> Iterator[tuple[int, ...]]:
     """Columns 0 through ``max_i`` in order, each made from the one before;
     a caller that keeps only the latest holds two columns at a time."""
@@ -212,7 +217,7 @@ def _assemble(records: Iterable[tuple[int, ...]], max_i: int | None) -> Dynamics
             if not i and value != 1:
                 raise TableFormatError(f"origin count must be 1, got {value}")
             if i and cols[i] != (expected := _next_column(cols[i - 1], i)):
-                k = next(k for k, pair in enumerate(zip(cols[i], expected)) if pair[0] != pair[1])
+                k = _first_difference(cols[i], expected)
                 padded = (0, *cols[i - 1], 0)
                 raise TableFormatError(
                     f"entry at ({i}, {i - 2 * k}) fails the recurrence: "

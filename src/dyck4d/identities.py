@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from .coords import _Value
-from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, _columns, catalan
+from .dynamics import (DEFAULT_POSITION_CAP, _check_count_digits, _columns, _first_difference,
+                       catalan)
 from .errors import DomainError, DyckError, ResourceLimit
 
 
@@ -155,8 +156,3 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
             f"squares of column {v} sum to {total}, but catalan({v}) = {expected}"
         )
     return Decomposition(v, terms)
-
-
-def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Index of the first entry where two unequal columns differ (or where one ends)."""
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))

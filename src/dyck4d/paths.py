@@ -10,8 +10,6 @@ prefixes and ends each with the completions of its height, listed per call.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -255,9 +253,5 @@ def count_paths_to(i: int, j: int) -> int:
 
 def trace_to_csv(path: PathTrace) -> str:
     """CSV rows (step, i, j, n, k), one per visited node; step 0 is the origin."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "i", "j", "n", "k"])
-    for index, node in enumerate(path.nodes):
-        writer.writerow([index, node.i, node.j, node.n, node.k])
-    return out.getvalue()
+    rows = ((index, node.i, node.j, node.n, node.k) for index, node in enumerate(path.nodes))
+    return "step,i,j,n,k\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Isoline, Node, Plane, planarity_equation, project
-from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, build_table
+from .dynamics import (DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, _max_digits,
+                       build_table)
 from .errors import DomainError, ResourceLimit
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
@@ -32,11 +33,10 @@ OUTPUT_BYTE_CAP = 1 << 25  # largest document, in bytes, that layout admits by _
 
 def _output_bound(max_i: int) -> int:
     """Bytes a text or SVG diagram up to ``max_i`` can take: (max_i + 1)**2 grid cells
-    at most, each a space and a label of at most ``digits`` digits (no count in
-    column i passes 2**i; 0.30103 > log10(2)) or a quarter of an SVG node's under
-    200 bytes of markup, and 4096 for the SVG header, note and path."""
-    digits = max_i * 30103 // 100000 + 1
-    return (max_i + 1) ** 2 * (digits + 48) + 4096
+    at most, each a space and a label no longer than 2**max_i, which no count passes,
+    or a quarter of an SVG node's under 200 bytes of markup, and 4096 for the SVG
+    header, note and path."""
+    return (max_i + 1) ** 2 * (_max_digits(max_i) + 48) + 4096
 
 
 @dataclass(frozen=True)

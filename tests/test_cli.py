@@ -38,9 +38,7 @@ class TestCatalan:
         assert "e" not in out.lower()
 
     def test_negative(self):
-        code, _, err = invoke("catalan", "-1")
-        assert code == 1
-        assert "nonnegative" in err
+        assert invoke("catalan", "-1") == (1, "", "error: n must be nonnegative, got -1\n")
 
     def test_resource_limit(self):
         code, _, err = invoke("catalan", "99999")
@@ -120,6 +118,26 @@ class TestTable:
         assert result == (
             2, "", "resource limit: a count of up to 663 digits is beyond the int/str limit 640\n"
         )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@pytest.mark.parametrize("argv", [
+    ("catalan", "2048"),
+    ("dynamics", "4096", "0"),
+    ("decompose", "2048"),
+    ("decompose", "2048", "--json"),
+])
+def test_every_count_is_checked_against_the_digit_limit_before_output(argv):
+    # Each prints catalan(2048), 1,228 digits, or a sum holding it.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = invoke(*argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert result == (
+        2, "", "resource limit: a count of up to 1228 digits is beyond the int/str limit 640\n"
+    )
 
 
 class TestDecompose:

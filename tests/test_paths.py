@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import itertools
 import math
 import random
@@ -170,6 +172,17 @@ class TestTrace:
             "1,1,1,1,0",
             "2,2,0,1,1",
         ]
+
+
+@given(st.integers(0, 2**16), st.integers(0, 40))
+def test_trace_csv_matches_the_stdlib_writer(seed, semilength):
+    path = trace(random_valid_word(random.Random(seed), semilength))
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["step", "i", "j", "n", "k"])
+    writer.writerows([index, node.i, node.j, node.n, node.k]
+                     for index, node in enumerate(path.nodes))
+    assert trace_to_csv(path) == reference.getvalue()
 
 
 class TestFigurePathSegments:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dyck4d import (
+    DEFAULT_POSITION_CAP,
     DiagramSpec,
     Isoline,
     Node,
@@ -204,6 +205,13 @@ def test_output_bound_covers_every_document(max_i):
         for fmt in ("text", "svg"):
             document = emit(layout(DiagramSpec(plane=plane, max_i=max_i, word=word, fmt=fmt)))
             assert len(document.encode()) <= render._output_bound(max_i), (plane.name, fmt)
+
+
+def test_output_bound_labels_hold_the_digits_of_the_largest_count():
+    # No count in column i passes 2**i, which has exactly _max_digits(i) digits.
+    for max_i in range(DEFAULT_POSITION_CAP + 1):
+        digits = len(str(1 << max_i))
+        assert render._output_bound(max_i) == (max_i + 1) ** 2 * (digits + 48) + 4096, max_i
 
 
 def test_output_cap_admits_the_largest_tested_render_and_refuses_before_the_table(monkeypatch):

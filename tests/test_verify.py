@@ -111,6 +111,22 @@ def test_a_wrong_column_term_fails_every_check_that_reads_it(monkeypatch):
     }
 
 
+def test_a_formatter_fault_fails_table_serialization(monkeypatch):
+    # The exact-bytes import formats with the same _column_text, so it alone accepts
+    # the bumped export; the parsers read the text independently.
+    real = dynamics._column_text
+
+    def bumped(entry, sep, i, col):
+        return real(entry, sep, i, tuple(v + 1 for v in col) if i == 5 else col)
+
+    monkeypatch.setattr(dynamics, "_column_text", bumped)
+    details = {r.name: r.detail for r in run_checks(64) if not r.passed}
+    assert details == {
+        "table-serialization": "import rejected the export: entry at (5, 5) fails the recurrence: "
+        "2 != 0 + 1",
+    }
+
+
 def test_a_wrong_point_term_fails_the_checks_that_call_it(monkeypatch):
     real = identities.square_term
     monkeypatch.setattr(identities, "square_term", lambda i, k: real(i, k) + ((i, k) == (37, 5)))
