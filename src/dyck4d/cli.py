@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from io import TextIOBase
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
-from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, catalan, stream_table
+from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, catalan, stream_table
 from .errors import DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
 
@@ -122,7 +122,8 @@ def _cmd_dynamics(args, out: TextIOBase) -> int:
     if not is_reachable(args.i, args.j):
         print("0 (unreachable)", file=out)
         return 0
-    _check_bound(args.i, DEFAULT_POSITION_CAP)
+    if args.i > DEFAULT_POSITION_CAP:
+        raise ResourceLimit(f"position {args.i} exceeds the position cap of {DEFAULT_POSITION_CAP}")
     node = node_from(Plane.parse("ij"), args.i, args.j)
     value = square_term(node.i, node.k)
     _check_count_digits(value)

@@ -12,13 +12,13 @@ validation reruns; ``_columns`` runs it from the origin), and hold exact
 Python integers throughout.  Export and import go one column at a time
 (i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
 entry): ``stream_table`` writes an export holding two columns.  Since one
-recurrence fixes the table, a valid file is the export of ``_columns(max_i)``,
-so an import first matches the text against that export column by column,
-formatted from the writer's own pieces (``_FORMATS``) and never whole, and
-returns the recurrence's columns at a full match.  At the first byte that
-differs it hands the whole text to the format's parser (a re-formatted file,
-such as compact JSON or CRLF lines, is valid too), which words every
-rejection: it checks each column as soon as it is complete, so records must
+recurrence fixes the table, a valid file is the export of ``_columns(max_i)``:
+an import takes max_i from the text (JSON's header, a CSV's last record),
+matches each piece ``_export`` yields for it in place, never the whole text,
+and returns the recurrence's columns at a full match.  Else (a piece differs
+or the writer refuses) the format's parser takes the whole text: it accepts
+re-formatted files, such as compact JSON or CRLF lines, and words every
+rejection, checking each column as soon as it is complete, so records must
 come in export order, as both writers emit them.
 """
 
@@ -141,9 +141,9 @@ def _check_count_digits(largest: int) -> None:
 
 
 # Per format: the header (JSON's takes max_i), the entry template, the separator
-# between entries and between columns, and the tail.  The writer and the
-# exact-bytes import both read it, so their bytes cannot drift apart.  JSON is
-# byte for byte json.dumps(doc, indent=2); no int or digit string needs escaping.
+# between entries and between columns, and the tail.  Only ``_export`` writes
+# them; the exact-bytes import replays it.  JSON is byte for byte
+# json.dumps(doc, indent=2); no int or digit string needs escaping.
 _FORMATS = {
     "csv": ("i,j,n,k,count\n", "{},{},{},{},{}", "\n", "\n"),
     "json": (
@@ -252,41 +252,29 @@ def _csv_record(row: list[str]) -> tuple[int, int, int, int, int]:
 
 
 def _exact_table(text: str, fmt: str) -> DynamicsTable | None:
-    """The table whose ``fmt`` export is ``text`` byte for byte, or None from the
-    first byte that differs.  Each column of the recurrence is formatted as the
-    writer formats it and matched in place, so the whole expected text is never
-    built; JSON reads max_i from its header, a CSV export ends where the text does."""
+    """The table whose ``fmt`` export is ``text`` byte for byte, or None.  Each piece
+    ``_export`` yields for the text's max_i (JSON's header field, the first field of
+    a CSV's last record) is matched in place, so the whole text is never built; None
+    at the first that differs or where the writer refuses: the parser words both."""
     if not isinstance(text, str):  # e.g. bytes, which json.loads takes too
         return None
-    header, entry, sep, tail = _FORMATS[fmt]
-    max_i = None
-    if "{}" in header:  # JSON declares max_i in its header
-        head = header.partition("{}")[0].format()
-        # A dozen characters at most: int() of thousands of digits would fail.
-        digits = text[len(head) : len(head) + 12].partition(",")[0]
-        if not (digits.isascii() and digits.isdigit()):
-            return None
-        max_i = int(digits)
-    header = header.format(max_i)
-    if not text.startswith(header):
+    at = (len(_FORMATS["json"][0].partition("{}")[0].format()) if fmt == "json"
+          else text.rfind("\n", 0, len(text) - 1) + 1)  # where max_i's digits start
+    # A dozen characters at most: int() of thousands of digits would fail.
+    digits = text[at : at + 12].partition(",")[0]
+    # Each column takes at least one character, so the text bounds max_i.
+    if not (digits.isascii() and digits.isdigit()) or int(digits) >= len(text):
         return None
-    pos, cols = len(header), []
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # Each column takes at least one character, so the text bounds a CSV's columns.
-    for i, col in enumerate(_columns(len(text) if max_i is None else max_i)):
-        if digit_limit and _max_digits(i + 1) > digit_limit:  # column i's counts are <= 2**i
-            return None  # the parser raises ResourceLimit where a count passes the limit
-        piece = _column_text(entry, sep, i, col)
-        if not text.startswith(piece, pos):
-            return None
-        pos += len(piece)
-        cols.append(col)
-        if i == max_i or (max_i is None and len(text) - pos == len(tail)):
-            return DynamicsTable(i, tuple(cols)) if text[pos:] == tail else None
-        if not text.startswith(sep, pos):
-            return None
-        pos += len(sep)
-    return None
+    max_i, pos, cols = int(digits), 0, []
+    try:
+        for piece in _export((cols.append(col) or col for col in _columns(max_i)),
+                             max_i, fmt, 1 << max_i):
+            if not text.startswith(piece, pos):
+                return None
+            pos += len(piece)
+    except ResourceLimit:
+        return None
+    return DynamicsTable(max_i, tuple(cols)) if pos == len(text) else None
 
 
 def table_from_csv(text: str) -> DynamicsTable:

@@ -60,6 +60,11 @@ class TestDynamics:
     def test_negative_coordinates(self):
         assert invoke("dynamics", "-3", "1")[1] == "0 (unreachable)\n"
 
+    @pytest.mark.parametrize("i, j", [("4097", "1"), ("99999", "99999")])
+    def test_over_cap_names_the_position(self, i, j):
+        assert invoke("dynamics", i, j) == (
+            2, "", f"resource limit: position {i} exceeds the position cap of 4096\n")
+
 
 class TestTable:
     def test_csv_default(self):

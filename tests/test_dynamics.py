@@ -595,8 +595,9 @@ class TestExactBytesRoute:
         assert _outcome(parse, text) == _outcome(getattr(dynamics, reference), text)
 
     def test_hands_over_before_the_digit_limit(self, monkeypatch):
-        # Under a limit of 3 digits, counts could pass it from column 9 (2**9 = 512)
-        # on; the route formats no such column, and the parser takes the text.
+        # Under a limit of 3 digits, counts up to 2**12 could pass it; the writer
+        # refuses before its first piece, so no column is formatted, and the parser
+        # takes the text.
         text = table_to_csv(build_table(12))
         formatted = []
         column_text = dynamics._column_text
@@ -608,5 +609,23 @@ class TestExactBytesRoute:
         monkeypatch.setattr(dynamics, "_column_text", spy)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3, raising=False)
         assert dynamics._exact_table(text, "csv") is None
-        assert formatted == list(range(9))
+        assert formatted == []
         assert table_from_csv(text) == build_table(12)
+
+    @pytest.mark.parametrize("parse, fmt, text", [
+        (table_from_json, "json", table_to_json(build_table(2)).replace(
+            '"max_i": 2,', '"max_i": 999999999999,', 1)),
+        (table_from_csv, "csv", table_to_csv(build_table(2)) + "200,0,100,100,1\n"),
+        (table_from_csv, "csv", "i,j,n,k,count\n0,0,0,0,1\n40,0,20,20,1\n"),
+    ], ids=["json header", "csv past an export", "csv short"])
+    def test_claimed_bound_past_the_text_makes_no_column(self, monkeypatch, parse, fmt, text):
+        # Each column takes at least one character, so a max_i of at least the
+        # text's length cannot be an export: the parser takes it unmatched.
+        reference = _outcome(getattr(dynamics, f"_parse_{fmt}"), text)
+
+        def refuse(max_i):
+            raise AssertionError(f"columns made up to {max_i}")
+
+        monkeypatch.setattr(dynamics, "_columns", refuse)
+        assert dynamics._exact_table(text, fmt) is None
+        assert _outcome(parse, text) == reference
