@@ -25,7 +25,7 @@ from .identities import decompose_catalan, square_term
 _CLI_PLANES = tuple(plane.name for plane in PLANES_2D)
 
 
-class _UsageError(Exception):
+class _UsageError(DyckError):
     pass
 
 
@@ -221,9 +221,6 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
         return 1
     except OSError as exc:  # the commands open no file but --svg, which reports its own
         print(f"error: cannot write output: {exc.strerror or exc}", file=err)
-        return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
         return 1
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=err)

@@ -6,9 +6,9 @@ in run order, and :func:`run_checks` alone makes each :class:`CheckResult`,
 with the seconds the check took; the command line's ``verify`` subcommand
 prints one line per check, or one JSON record per check with ``--json``.
 Every check reads the one count table built for the bound; the Catalan
-numbers past it come from :func:`_catalans`, which holds two columns.  The
-closed forms are compared a column at a time (:func:`identities.square_terms`),
-and the point forms against those columns (:func:`_point_ks`).
+numbers past it come from :func:`_catalans`, which holds two columns.  Only
+square-terms compares whole closed-form columns with the table's; the point
+forms (square_term, convolution) are compared at the k that :func:`_point_ks` picks.
 Checks that compare against the brute-force scanners clamp themselves to the
 scanners' hard caps.
 """
@@ -175,9 +175,9 @@ def _check_oracle(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
 
 
 def _point_ks(i: int, lo: int = 0) -> Iterable[int]:
-    """The k in ``lo`` .. i // 2 at which a check compares a point form of column i
-    with the column form: all of them in columns up to POINT_COLUMNS, else the
-    k that ``square_term_special`` covers."""
+    """The k in ``lo`` .. i // 2 at which a check compares a point form with
+    column i: all of them in columns up to POINT_COLUMNS, else the k that
+    ``square_term_special`` covers."""
     if i <= POINT_COLUMNS:
         return range(lo, i // 2 + 1)
     return sorted({k for k in (0, 1, 2, i // 2) if lo <= k})
@@ -200,17 +200,12 @@ def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
 def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     # Entry (n, j) is count(2n - j, j): column i = 2n - j at k = n - j.  So column i
     # holds the entries of rows n = i - k <= bound // 2, those with k >= i - bound // 2.
-    half = bound // 2
-    for i, col in enumerate(table._cols):
-        lo = max(0, i - half)
-        terms = identities.square_terms(i)
-        if terms[lo:] != col[lo:]:
-            k = lo + dynamics._first_difference(terms[lo:], col[lo:])
-            return False, f"matrix entry disagrees at (n={i - k}, j={i - 2 * k})"
-        for k in _point_ks(i, lo):
-            if identities.convolution(i - k, i - 2 * k) != terms[k]:
-                return False, f"convolution disagrees with its column at (n={i - k}, j={i - 2 * k})"
-    return True, f"n <= {half}"
+    for i in range(bound + 1):
+        for k in _point_ks(i, max(0, i - bound // 2)):
+            n, j = i - k, i - 2 * k
+            if identities.convolution(n, j) != table.count(i, j):
+                return False, f"convolution disagrees with its column at (n={n}, j={j})"
+    return True, f"n <= {bound // 2}"
 
 
 def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:

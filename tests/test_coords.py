@@ -171,6 +171,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             planarity_residual(Node(0, 0, 0, 0), IJ)
 
+    def test_planarity_equation_rejects_two_axis(self):
+        with pytest.raises(ValueError) as info:
+            planarity_equation(Plane.parse("ij"))
+        assert str(info.value) == "planarity applies to three-axis planes, got 'ij'"
+
 
 class TestIsolines:
     def test_through_example(self):

@@ -222,6 +222,18 @@ class TestSerialization:
         with pytest.raises(TableFormatError, match="not valid CSV: field larger than field limit"):
             table_from_csv(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top level must be an object"),
+        (f'{{"format": "{TABLE_FORMAT}", "max_i": 0, "entries": {{}}}}',
+         "entries must be an array of records"),
+        (f'{{"format": "{TABLE_FORMAT}", "max_i": 0, "entries": [1]}}',
+         "record must be an object, got 1"),
+    ])
+    def test_json_rejects_wrong_structure(self, text, message):
+        with pytest.raises(TableFormatError) as info:
+            table_from_json(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")])
     def test_json_rejects_deep_nesting(self, opener, closer):
         # json.loads recurses per level and raises RecursionError this deep.

@@ -177,6 +177,13 @@ class TestDecomposition:
             decompose_catalan(4)
         assert str(info.value) == "inconsistent routes at (i=4, k=1): closed form 3, recurrence 4"
 
+    def test_catalan_mismatch_raises(self, monkeypatch):
+        real = identities.catalan
+        monkeypatch.setattr(identities, "catalan", lambda v, **kwargs: real(v, **kwargs) + 1)
+        with pytest.raises(DyckError) as info:
+            decompose_catalan(4)
+        assert str(info.value) == "squares of column 4 sum to 14, but catalan(4) = 15"
+
     def test_json_record(self):
         record = decompose_catalan(4).to_json_dict()
         assert record == {"v": 4, "terms": ["1", "3", "2"], "catalan": "14"}

@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dyck4d import CheckResult, dynamics, identities, run_checks, verify
+from dyck4d import CheckResult, coords, dynamics, identities, paths, render, run_checks, verify
 
 GOLDEN = Path(__file__).parent / "data" / "verify_details.json"
 from dyck4d.dynamics import DynamicsTable
@@ -69,6 +72,8 @@ def test_bumped_count_fails_oracle_and_recurrence(monkeypatch):
     assert results["oracle-equivalence"].detail == "brute force disagrees at (5, 3)"
     assert not results["recurrence-closure"].passed
     assert results["recurrence-closure"].detail == "recurrence fails at (5, 3)"
+    # The matrix entry (4, 3) is count(5, 3).
+    assert results["convolution-matrix"].detail == "convolution disagrees with its column at (n=4, j=3)"
     # The importer rejects the wrong export; the check reports it instead of raising.
     assert results["table-serialization"].detail == (
         "import rejected the export: entry at (5, 3) fails the recurrence: 5 != 1 + 3"
@@ -104,7 +109,6 @@ def test_a_wrong_column_term_fails_every_check_that_reads_it(monkeypatch):
     details = {r.name: r.detail for r in run_checks(64) if not r.passed}
     assert details == {
         "square-terms": "closed form disagrees at (i=37, k=5)",
-        "convolution-matrix": "matrix entry disagrees at (n=32, j=27)",  # column 37, k = 5
         "sum-of-squares": "identity fails at v = 37",
         "decomposition": "decompose_catalan(37) raised: inconsistent routes at (i=37, k=5): "
         "closed form 369853, recurrence 369852",
@@ -147,3 +151,69 @@ def test_point_terms_past_the_point_columns_are_checked_at_the_special_k(monkeyp
     )
     # Column 200 holds one matrix entry at bound 200: row n = 100, j = 0, at k = 100.
     assert verify._check_convolution(200, table)[0] == (k != 100)
+
+
+def _counting(real):
+    calls = itertools.count()
+    return lambda diagram: real(diagram) + str(next(calls))
+
+
+def _without_a_kj_node(real):
+    def layout(spec):
+        diagram = real(spec)
+        if spec.plane.name != "kj":
+            return diagram
+        return dataclasses.replace(diagram, nodes=diagram.nodes[:-1])
+    return layout
+
+
+# (check, patched owner, attribute, replacement made from the real one, the check's detail)
+_FAULTS = [
+    ("reachability", coords, "is_reachable", lambda real: lambda i, j: True,
+     "is_reachable(-2, -2) disagrees with node completion"),
+    ("projection-roundtrip", coords, "node_from",
+     lambda real: lambda plane, a, b: coords.Node(0, 0, 0, 0),
+     "ij does not round-trip Node(i=1, j=1, n=1, k=0)"),
+    ("planarity", coords, "planarity_residual", lambda real: lambda node, plane: 1,
+     "ijn residual nonzero at Node(i=0, j=0, n=0, k=0)"),
+    ("four-coordinate-form", DynamicsTable, "count_node", lambda real: lambda self, node: 0,
+     "2D/4D disagree at Node(i=0, j=0, n=0, k=0)"),
+    ("special-terms", identities, "square_term_special",
+     lambda real: lambda v, k: real(v, k) + (v == 9),
+     "dedicated form 2 != general 1 at (v=9, k=0)"),
+    ("decomposition", identities, "decompose_catalan",
+     lambda real: lambda v: identities.Decomposition(v, (2,) + real(v).terms[1:]),
+     "first term not 1 at v = 0"),
+    ("path-geometry", paths, "project_path",
+     lambda real: lambda path, plane: SimpleNamespace(points=((0, 1),)),
+     "nk projection crossed the diagonal: UD"),
+    ("enumeration-count", paths, "enumerate_words",
+     lambda real: lambda m: list(real(m))[:-1] if m == 3 else real(m),
+     "4 words of semilength 3, expected catalan(3)"),
+    ("table-serialization", dynamics, "_parse_csv", lambda real: lambda text: dynamics.build_table(0),
+     "CSV round-trip changed the table"),
+    ("render-determinism", render, "emit", _counting, "same spec emitted different bytes"),
+    ("kj-coverage", render, "layout", _without_a_kj_node, "kj quadrant has holes or extras"),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, fault, detail", _FAULTS,
+                         ids=[case[0] for case in _FAULTS])
+def test_a_fault_fails_the_check_that_guards_it(monkeypatch, name, owner, attr, fault, detail):
+    # The run reports the fault instead of raising.
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    results = {r.name: r for r in run_checks(16)}
+    assert not results[name].passed
+    assert results[name].detail == detail
+
+
+def test_a_broken_node_fails_node_equations(monkeypatch):
+    # Node() refuses these coordinates, so set its slots directly; patching iter_nodes
+    # for a whole run would make other checks raise NotANode.
+    node = object.__new__(coords.Node)
+    for axis in coords.AXES:
+        coords.Node.__dict__[axis].__set__(node, 1)
+    monkeypatch.setattr(coords, "iter_nodes", lambda bound: iter([node]))
+    assert verify._check_node_equations(16, None) == (
+        False, "coordinate equations fail at Node(i=1, j=1, n=1, k=1)"
+    )
