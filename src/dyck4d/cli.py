@@ -7,7 +7,8 @@ before the first byte.  A closed pipe (``| head``) ends a command quietly;
 any other write error prints one ``error: cannot write output`` line.
 
 Paths, rendering, verification and ``json`` load only where used: a point query
-(catalan, dynamics, decompose) loads none, nor ``dataclasses``, ``inspect``, ``csv``, ``typing``.
+(catalan, dynamics, decompose) loads none, nor ``csv``; no command loads ``dataclasses``,
+``inspect`` or ``typing``.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _cmd_verify(args, out: TextIOBase) -> int:
     passed = sum(result.passed for result in results)
     if args.json:
         import json
-        out.write(json.dumps([vars(result) for result in results], indent=2) + "\n")
+        records = [{name: getattr(result, name) for name in result.__slots__} for result in results]
+        out.write(json.dumps(records, indent=2) + "\n")
     else:
         for result in results:
             status = "PASS" if result.passed else "FAIL"

@@ -30,19 +30,24 @@ MAX_COORD = 2**31 - 1
 
 
 class _Value:
-    """Base of the value classes a point query loads: what ``@dataclass(frozen=True)``
-    gave them (field-wise ``==`` and hash, the repr without ``_`` fields, no assignment
-    or deletion, ``__match_args__``, pickle and copy) without importing ``dataclasses``.
-    Subclasses name their fields in ``__slots__`` and set them with ``object.__setattr__``
-    (``Node``, built in hot loops, with its slots' own setters).
-    ``paths``, ``render`` and ``verify`` keep dataclasses: they load only for slow commands."""
+    """Base of every value class: what ``@dataclass(frozen=True)`` gave them (field-wise
+    ``==`` and hash, the repr without ``_`` fields, no assignment or deletion,
+    ``__match_args__``, pickle and copy), so that no module imports ``dataclasses``.
+    Subclasses name their fields in ``__slots__`` and set them in ``__init__``, all at once
+    with ``_set`` or, where many are built, one ``object.__setattr__`` per field (``Node``,
+    built in hot loops, with its slots' own setters)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
 
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def _astuple(self) -> tuple:
+        """The values ``==`` and hash compare; a subclass may leave some fields out."""
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
@@ -64,7 +69,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._astuple()
+        return type(self), _Value._astuple(self)
 
 
 class Node(_Value):

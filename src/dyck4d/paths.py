@@ -10,11 +10,10 @@ prefixes and ends each with the completions of its height, listed per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
-from typing import Iterable, Iterator
 
-from .coords import Node, Plane
+from .coords import Node, Plane, _Value
 from .errors import InvalidCharacter, PrefixViolation, ResourceLimit
 
 # Hard caps, deliberately not configurable: the scanners exist to validate
@@ -26,14 +25,14 @@ _STEP_FOR_PAREN = {"(": "U", ")": "D"}
 _HEIGHT_CHANGE = {"U": 1, "D": -1}
 
 
-@dataclass(frozen=True)
-class DyckWord:
+class DyckWord(_Value):
     """A sequence of upsteps and downsteps whose every prefix has at least
     as many U as D; a complete word has equally many of each."""
 
-    steps: str = ""
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: str = ""):
+        object.__setattr__(self, "steps", steps)
         # Fast path: a str of U and D whose running height never drops below zero.
         # Anything else goes through the loop below, which words the rejection.
         if type(self.steps) is str:
@@ -99,12 +98,13 @@ def format_words(words: Iterable[DyckWord]) -> str:
     return "".join(format_word(word) + "\n" for word in words)
 
 
-@dataclass(frozen=True)
-class PathTrace:
+class PathTrace(_Value):
     """Node-by-node positions of a word, starting from the origin."""
 
-    word: DyckWord
-    nodes: tuple[Node, ...]
+    __slots__ = ("word", "nodes")
+
+    def __init__(self, word: DyckWord, nodes: tuple[Node, ...]):
+        self._set(word, nodes)
 
 
 def trace(word: DyckWord) -> PathTrace:
@@ -139,22 +139,25 @@ _MOVE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class PathMove:
+class PathMove(_Value):
     """One projected step: which step it was, its 2D delta, and a direction name."""
 
-    step: str
-    delta: tuple[int, int]
-    kind: str
+    __slots__ = ("step", "delta", "kind")
+
+    def __init__(self, step: str, delta: tuple[int, int], kind: str):
+        object.__setattr__(self, "step", step)  # one per move: no _set call
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class ProjectedPath:
+class ProjectedPath(_Value):
     """A trace flattened onto a two-axis plane."""
 
-    plane: Plane
-    points: tuple[tuple[int, int], ...]
-    moves: tuple[PathMove, ...]
+    __slots__ = ("plane", "points", "moves")
+
+    def __init__(self, plane: Plane, points: tuple[tuple[int, int], ...],
+                 moves: tuple[PathMove, ...]):
+        self._set(plane, points, moves)
 
 
 def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:

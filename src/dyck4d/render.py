@@ -9,9 +9,7 @@ already placed: grouping them by one coordinate gives each isoline's points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coords import Isoline, Node, Plane, planarity_equation, project
+from .coords import Isoline, Node, Plane, _Value, planarity_equation, project
 from .dynamics import (DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, _max_digits,
                        build_table)
 from .errors import DomainError, ResourceLimit
@@ -39,18 +37,16 @@ def _output_bound(max_i: int) -> int:
     return (max_i + 1) ** 2 * (_max_digits(max_i) + 48) + 4096
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
+class DiagramSpec(_Value):
     """What to draw: a plane, a position bound, and optional decorations."""
 
-    plane: Plane
-    max_i: int
-    isolines: frozenset[str] = frozenset(("i", "j", "n", "k"))
-    word: DyckWord | None = None
-    highlights: tuple[Node, ...] = ()
-    fmt: str = "text"
+    __slots__ = ("plane", "max_i", "isolines", "word", "highlights", "fmt")
 
-    def __post_init__(self):
+    def __init__(self, plane: Plane, max_i: int,
+                 isolines: frozenset[str] = frozenset(("i", "j", "n", "k")),
+                 word: DyckWord | None = None, highlights: tuple[Node, ...] = (),
+                 fmt: str = "text"):
+        self._set(plane, max_i, isolines, word, highlights, fmt)
         if self.max_i < 0:
             raise DomainError(f"max_i must be nonnegative, got {self.max_i}")
         unknown = set(self.isolines) - set("ijnk")
@@ -69,25 +65,27 @@ class DiagramSpec:
                 )
 
 
-@dataclass(frozen=True)
-class PlacedNode:
-    node: Node
-    x: int
-    y: int
-    label: str
+class PlacedNode(_Value):
+    __slots__ = ("node", "x", "y", "label")
+
+    def __init__(self, node: Node, x: int, y: int, label: str):
+        object.__setattr__(self, "node", node)  # one per node: no _set call
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """A laid-out diagram, ready to serialize."""
+class Diagram(_Value):
+    """A laid-out diagram, ready to serialize: ``plane`` is the two-axis plane actually
+    drawn, and ``note`` is set when a three-axis plane was flattened."""
 
-    spec: DiagramSpec
-    plane: Plane  # the two-axis plane actually drawn
-    note: str | None  # set when a three-axis plane was flattened
-    nodes: tuple[PlacedNode, ...]
-    isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...]
-    path: ProjectedPath | None
-    highlights: tuple[tuple[int, int], ...]
+    __slots__ = ("spec", "plane", "note", "nodes", "isolines", "path", "highlights")
+
+    def __init__(self, spec: DiagramSpec, plane: Plane, note: str | None,
+                 nodes: tuple[PlacedNode, ...],
+                 isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...],
+                 path: ProjectedPath | None, highlights: tuple[tuple[int, int], ...]):
+        self._set(spec, plane, note, nodes, isolines, path, highlights)
 
 
 def layout(spec: DiagramSpec) -> Diagram:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import coords, dynamics, identities, paths, render
 from .errors import DyckError, NotANode, TableFormatError
@@ -34,13 +33,15 @@ _NK = coords.Plane.parse("nk")
 _Outcome = tuple[bool, str]  # passed, detail
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    # Wall time of the check alone; the shared table's build is in no check.
-    seconds: float = field(default=0.0, compare=False)
+class CheckResult(coords._Value):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float = 0.0):
+        self._set(name, passed, detail, seconds)
+
+    def _astuple(self) -> tuple:
+        # Leaves out seconds: the check's own wall time, without the shared table's build.
+        return self.name, self.passed, self.detail
 
 
 def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:

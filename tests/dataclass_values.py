@@ -1,14 +1,16 @@
-"""Reference definitions for ``test_values.py``: the five value classes as
-frozen dataclasses, as ``coords``, ``dynamics`` and ``identities`` defined
-them before they became ``__slots__`` classes.  Not collected as tests."""
+"""Reference definitions for ``test_values.py``: the thirteen value classes as
+frozen dataclasses, as ``coords``, ``dynamics``, ``identities``, ``paths``,
+``render`` and ``verify`` defined them before they became ``__slots__``
+classes.  Not collected as tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dyck4d.coords import AXES, MAX_COORD
+from dyck4d.coords import AXES, MAX_COORD, Isoline, Node, Plane
 from dyck4d.dynamics import _check_count_digits
-from dyck4d.errors import NotANode
+from dyck4d.errors import DomainError, InvalidCharacter, NotANode, PrefixViolation
+from dyck4d.paths import _HEIGHT_CHANGE
 
 
 @dataclass(frozen=True)
@@ -112,3 +114,135 @@ class Decomposition:
             "terms": [str(t) for t in self.terms],
             "catalan": str(total),
         }
+
+
+@dataclass(frozen=True)
+class DyckWord:
+    """A sequence of upsteps and downsteps whose every prefix has at least
+    as many U as D; a complete word has equally many of each."""
+
+    steps: str = ""
+
+    def __post_init__(self):
+        # Fast path: a str of U and D whose running height never drops below zero.
+        # Anything else goes through the loop below, which words the rejection.
+        if type(self.steps) is str:
+            height = 0
+            try:
+                for step in self.steps:
+                    height += _HEIGHT_CHANGE[step]
+                    if height < 0:
+                        break
+                else:
+                    return
+            except KeyError:
+                pass
+        height = 0
+        for position, step in enumerate(self.steps, start=1):
+            if step == "U":
+                height += 1
+            elif step == "D":
+                height -= 1
+            else:
+                raise InvalidCharacter(
+                    f"step {position}: expected 'U' or 'D', got {step!r}"
+                )
+            if height < 0:
+                raise PrefixViolation(position)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    @property
+    def unbalance(self) -> int:
+        return self.steps.count("U") - self.steps.count("D")
+
+    @property
+    def is_complete(self) -> bool:
+        return self.unbalance == 0
+
+
+@dataclass(frozen=True)
+class PathTrace:
+    """Node-by-node positions of a word, starting from the origin."""
+
+    word: DyckWord
+    nodes: tuple[Node, ...]
+
+
+@dataclass(frozen=True)
+class PathMove:
+    """One projected step: which step it was, its 2D delta, and a direction name."""
+
+    step: str
+    delta: tuple[int, int]
+    kind: str
+
+
+@dataclass(frozen=True)
+class ProjectedPath:
+    """A trace flattened onto a two-axis plane."""
+
+    plane: Plane
+    points: tuple[tuple[int, int], ...]
+    moves: tuple[PathMove, ...]
+
+
+@dataclass(frozen=True)
+class DiagramSpec:
+    """What to draw: a plane, a position bound, and optional decorations."""
+
+    plane: Plane
+    max_i: int
+    isolines: frozenset[str] = frozenset(("i", "j", "n", "k"))
+    word: DyckWord | None = None
+    highlights: tuple[Node, ...] = ()
+    fmt: str = "text"
+
+    def __post_init__(self):
+        if self.max_i < 0:
+            raise DomainError(f"max_i must be nonnegative, got {self.max_i}")
+        unknown = set(self.isolines) - set("ijnk")
+        if unknown:
+            raise DomainError(f"unknown isoline families: {sorted(unknown)}")
+        if self.fmt not in ("text", "svg"):
+            raise DomainError(f"format must be 'text' or 'svg', got {self.fmt!r}")
+        if self.word is not None and len(self.word) > self.max_i:
+            raise DomainError(
+                f"word of {len(self.word)} steps does not fit within max_i = {self.max_i}"
+            )
+        for node in self.highlights:
+            if node.i > self.max_i:
+                raise DomainError(
+                    f"highlighted node at position {node.i} exceeds max_i = {self.max_i}"
+                )
+
+
+@dataclass(frozen=True)
+class PlacedNode:
+    node: Node
+    x: int
+    y: int
+    label: str
+
+
+@dataclass(frozen=True)
+class Diagram:
+    """A laid-out diagram, ready to serialize."""
+
+    spec: DiagramSpec
+    plane: Plane  # the two-axis plane actually drawn
+    note: str | None  # set when a three-axis plane was flattened
+    nodes: tuple[PlacedNode, ...]
+    isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...]
+    path: ProjectedPath | None
+    highlights: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+    # Wall time of the check alone; the shared table's build is in no check.
+    seconds: float = field(default=0.0, compare=False)

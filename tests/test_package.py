@@ -99,6 +99,26 @@ def test_point_queries_load_no_paths_render_or_verify():
     assert not {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} & set(loaded)
 
 
+def test_slow_commands_load_no_dataclasses_inspect_or_typing():
+    # As above, only what a bare interpreter lacks is checked.
+    heavy = {"dataclasses", "inspect", "typing"}
+    bare = set(eval(run_python("import sys; print(sorted(sys.modules))")))
+    out = run_python(
+        "import io, sys\n"
+        "import dyck4d.paths, dyck4d.render, dyck4d.verify\n"
+        "print(sorted(sys.modules))\n"
+        "from dyck4d.cli import run\n"
+        "for argv in (['project', '--plane', 'nj', '--word', '(())'], ['enumerate', '3'],\n"
+        "             ['render', '--plane', 'ij', '--max-i', '4'], ['verify', '--max-i', '8']):\n"
+        "    assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0, argv\n"
+        "print(sorted(sys.modules))\n"
+    )
+    imported, loaded = map(eval, out.splitlines())
+    assert not (set(imported) - bare) & heavy
+    assert not (set(loaded) - bare) & heavy
+    assert {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} <= set(imported)
+
+
 def test_importing_an_export_loads_no_json_or_csv():
     # An export is matched against the recurrence's own bytes; only a text that
     # differs from it reaches the json or csv parser.

@@ -1,19 +1,25 @@
-"""The five value classes keep what their frozen-dataclass form gave them.
+"""The thirteen value classes keep what their frozen-dataclass form gave them.
 
 ``dataclass_values`` holds the dataclass definitions they replaced.  Each
 test builds the same arguments both ways: the new class must accept and
 reject exactly what the reference does, with the same exception and text,
-and agree with it on equality, hash, repr and ``__match_args__``.
+and agree with it on equality, hash, repr, ``__match_args__`` and its
+signature's names, kinds and defaults.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 import dataclass_values as ref
-from dyck4d import AXES, MAX_COORD, Decomposition, DynamicsTable, Isoline, Node, Plane, build_table
+import dyck4d
+from dyck4d import (AXES, MAX_COORD, PLANES_2D, PLANES_3D, CheckResult, Decomposition, Diagram,
+                    DiagramSpec, DyckWord, DynamicsTable, Isoline, Node, PathMove, PathTrace, Plane,
+                    ProjectedPath, build_table, iter_nodes)
+from dyck4d.render import PlacedNode
 
 
 class Index(int):
@@ -53,12 +59,56 @@ columns = st.lists(st.lists(st.integers(0, 10**30), max_size=4).map(tuple), max_
 table_args = st.tuples(st.integers(-2, 10), columns)
 decomposition_args = st.tuples(st.integers(-2, 100), st.lists(ints, max_size=5).map(tuple))
 
+
+def tuples_of(strategy, max_size=3):
+    return st.lists(strategy, max_size=max_size).map(tuple)
+
+
+# Steps of U and D (valid or not), other characters, a tuple of steps, or no sequence at all.
+word_args = st.tuples(st.one_of(
+    st.text("UD", max_size=12), st.text("UDx(", max_size=6),
+    tuples_of(st.sampled_from(["U", "D", "x", 1]), 4), ints,
+))
+words = st.sampled_from(["", "U", "UD", "UUDD", "UDUUUUU"]).map(DyckWord)
+nodes = st.sampled_from(list(iter_nodes(12)))
+planes = st.sampled_from(PLANES_2D + PLANES_3D)
+points = tuples_of(st.tuples(ints, ints))
+trace_args = st.tuples(words, tuples_of(nodes))
+move_args = st.tuples(st.sampled_from("UD"), st.tuples(ints, ints),
+                      st.sampled_from(["up-right", "down-right", "left"]))
+projected_args = st.tuples(planes, points, tuples_of(move_args.map(lambda a: PathMove(*a))))
+# A frozenset of two or more strings can iterate in another order once rebuilt (as by
+# pickle or deepcopy), and so change its repr; tuples stand in for the larger ones.
+families = st.sampled_from(["i", "j", "n", "k", "x", "ij"])
+spec_isolines = st.one_of(st.frozensets(families, max_size=1), tuples_of(families, 5))
+spec_args = st.tuples(
+    planes, st.one_of(st.integers(-2, 12), st.none()), spec_isolines,
+    st.one_of(st.none(), words), tuples_of(nodes), st.sampled_from(["text", "svg", "png"]),
+)
+placed_args = st.tuples(nodes, ints, ints, st.text(max_size=4))
+diagram_args = st.tuples(
+    st.builds(DiagramSpec, planes, st.integers(0, 12), tuples_of(st.sampled_from(AXES), 4)), planes,
+    st.one_of(st.none(), st.text(max_size=8)), tuples_of(placed_args.map(lambda a: PlacedNode(*a))),
+    tuples_of(st.tuples(st.builds(Isoline, st.sampled_from(AXES), st.integers(0, 5)), points), 2),
+    st.one_of(st.none(), projected_args.map(lambda a: ProjectedPath(*a))), points,
+)
+check_args = st.tuples(st.text(max_size=8), st.booleans(), st.text(max_size=8),
+                       st.floats(allow_nan=False))
+
 CASES = [
     (Node, ref.Node, node_args()),
     (Plane, ref.Plane, plane_args),
     (Isoline, ref.Isoline, isoline_args),
     (DynamicsTable, ref.DynamicsTable, table_args),
     (Decomposition, ref.Decomposition, decomposition_args),
+    (DyckWord, ref.DyckWord, word_args),
+    (PathTrace, ref.PathTrace, trace_args),
+    (PathMove, ref.PathMove, move_args),
+    (ProjectedPath, ref.ProjectedPath, projected_args),
+    (DiagramSpec, ref.DiagramSpec, spec_args),
+    (PlacedNode, ref.PlacedNode, placed_args),
+    (Diagram, ref.Diagram, diagram_args),
+    (CheckResult, ref.CheckResult, check_args),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -118,6 +168,32 @@ def test_frozen_and_round_trips(cls, ref_cls, strategy):
             assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
     check()
+
+
+@pytest.mark.parametrize("cls, ref_cls", [case[:2] for case in CASES], ids=IDS)
+def test_signature_matches_the_dataclass(cls, ref_cls):
+    def parameters(c):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+    assert parameters(cls) == parameters(ref_cls)
+
+
+@pytest.mark.parametrize("build_both", [
+    lambda m: m.DiagramSpec(plane=Plane.parse("nk"), max_i=3, fmt="svg"),
+    lambda m: m.DiagramSpec(Plane.parse("ij"), 4, word=m.DyckWord("UD"), highlights=()),
+    lambda m: m.DyckWord(),
+    lambda m: m.CheckResult("name", True, detail="detail"),
+], ids=["spec-keywords", "spec-word", "word-default", "check-default"])
+def test_keywords_and_defaults_build_what_the_dataclass_builds(build_both):
+    assert repr(build_both(dyck4d)) == repr(build_both(ref))
+
+
+def test_check_result_equality_and_hash_ignore_seconds():
+    for cls in (CheckResult, ref.CheckResult):
+        fast, slow = cls("name", True, "detail", 0.5), cls("name", True, "detail", 2.0)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert repr(slow).endswith("seconds=2.0)") and repr(fast) != repr(slow)
+        assert fast != cls("name", False, "detail", 0.5)
 
 
 def test_node_is_not_its_tuple():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -163,7 +162,8 @@ def _without_a_kj_node(real):
         diagram = real(spec)
         if spec.plane.name != "kj":
             return diagram
-        return dataclasses.replace(diagram, nodes=diagram.nodes[:-1])
+        return render.Diagram(diagram.spec, diagram.plane, diagram.note, diagram.nodes[:-1],
+                              diagram.isolines, diagram.path, diagram.highlights)
     return layout
 
 
