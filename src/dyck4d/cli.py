@@ -1,10 +1,11 @@
 """Command-line front end: every library capability behind one executable.
 
-Exit codes: 0 success, 1 domain or validation error (including usage
-errors) or output that cannot be written, 2 resource limit.  All numeric
-output is exact decimal, and every count passes the int/str digit check
-before the first byte.  A closed pipe (``| head``) ends a command quietly;
-any other write error prints one ``error: cannot write output`` line.
+Exit codes: 0 success, 1 domain or validation error or output that cannot be
+written, 2 resource limit.  Every deliberate failure, a usage error too, is a
+``DyckError``: ``run`` catches no bare ``ValueError``.  All numeric output is
+exact decimal, and every count passes the int/str digit check before the first
+byte.  A closed pipe (``| head``) ends a command quietly; any other write error
+prints one ``error: cannot write output`` line.
 
 Paths, rendering, verification and ``json`` load only where used: a point query
 (catalan, dynamics, decompose) loads none, nor ``csv``; no command loads ``dataclasses``,
@@ -16,23 +17,20 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from contextlib import redirect_stdout
 from io import TextIOBase
 
 from .coords import PLANES_2D, Plane, is_reachable, node_from
 from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, catalan, stream_table
-from .errors import DyckError, ResourceLimit
+from .errors import DomainError, DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
 
 _CLI_PLANES = tuple(plane.name for plane in PLANES_2D)
 
 
-class _UsageError(DyckError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise DomainError(message)
 
 
 def _int(text: str) -> int:
@@ -101,9 +99,7 @@ def _build_parser() -> _Parser:
 def _parse_plane(text: str) -> Plane:
     name = text.strip().lower()
     if name not in _CLI_PLANES:
-        raise _UsageError(
-            f"unknown plane {text!r}; expected one of {', '.join(_CLI_PLANES)}"
-        )
+        raise DomainError(f"unknown plane {text!r}; expected one of {', '.join(_CLI_PLANES)}")
     return Plane.parse(name)
 
 
@@ -120,12 +116,13 @@ def _cmd_table(args, out: TextIOBase) -> int:
 
 
 def _cmd_dynamics(args, out: TextIOBase) -> int:
-    if not is_reachable(args.i, args.j):
+    i, j = args.i, args.j
+    if i > DEFAULT_POSITION_CAP and 0 <= j <= i and (i + j) % 2 == 0:  # even past MAX_COORD
+        raise ResourceLimit(f"position {i} exceeds the position cap of {DEFAULT_POSITION_CAP}")
+    if not is_reachable(i, j):
         print("0 (unreachable)", file=out)
         return 0
-    if args.i > DEFAULT_POSITION_CAP:
-        raise ResourceLimit(f"position {args.i} exceeds the position cap of {DEFAULT_POSITION_CAP}")
-    node = node_from(Plane.parse("ij"), args.i, args.j)
+    node = node_from(Plane.parse("ij"), i, j)
     value = square_term(node.i, node.k)
     _check_count_digits(value)
     print(f"{value} (i={node.i}, j={node.j}, n={node.n}, k={node.k})", file=out)
@@ -189,7 +186,7 @@ def _cmd_render(args, out: TextIOBase) -> int:
     from .render import DiagramSpec, emit, layout
 
     if args.svg == "":
-        raise _UsageError("--svg needs a file path, got an empty one")
+        raise DomainError("--svg needs a file path, got an empty one")
     spec = DiagramSpec(
         plane=_parse_plane(args.plane),
         max_i=args.max_i,
@@ -203,7 +200,9 @@ def _cmd_render(args, out: TextIOBase) -> int:
             with open(args.svg, "w", encoding="utf-8", newline="") as handle:
                 handle.write(document)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from exc
+            raise DomainError(f"cannot write {args.svg}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # a NUL in the path; a ValueError has no strerror
+            raise DomainError(f"cannot write {args.svg}: {exc}") from exc
     else:
         out.write(document)
     return 0
@@ -215,7 +214,8 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        with redirect_stdout(out):  # --help
+            args = _build_parser().parse_args(argv)
         code = args.run(args, out)
         out.flush()  # a write error in buffered output surfaces here, not at exit
         return code
@@ -227,7 +227,7 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=err)
         return 2
-    except (DyckError, ValueError) as exc:
+    except DyckError as exc:
         print(f"error: {exc}", file=err)
         return 1
     except SystemExit as exc:  # argparse --help

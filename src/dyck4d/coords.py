@@ -22,7 +22,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from itertools import permutations
 
-from .errors import NotANode
+from .errors import DomainError, NotANode
 
 AXES = ("i", "j", "n", "k")
 
@@ -124,12 +124,12 @@ class Plane(_Value):
     def __init__(self, axes: Iterable[str]):
         axes = tuple(axes)
         if len(axes) not in (2, 3):
-            raise ValueError(f"a plane selects 2 or 3 axes, got {axes!r}")
+            raise DomainError(f"a plane selects 2 or 3 axes, got {axes!r}")
         if len(set(axes)) != len(axes):
-            raise ValueError(f"plane axes must be distinct, got {axes!r}")
+            raise DomainError(f"plane axes must be distinct, got {axes!r}")
         for axis in axes:
             if axis not in AXES:
-                raise ValueError(f"unknown axis {axis!r}, expected one of {AXES}")
+                raise DomainError(f"unknown axis {axis!r}, expected one of {AXES}")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
@@ -159,9 +159,9 @@ class Isoline(_Value):
 
     def __init__(self, family: str, index: int):
         if family not in AXES:
-            raise ValueError(f"unknown isoline family {family!r}")
+            raise DomainError(f"unknown isoline family {family!r}")
         if index < 0:
-            raise ValueError(f"isoline index must be nonnegative, got {index}")
+            raise DomainError(f"isoline index must be nonnegative, got {index}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "index", index)
 
@@ -200,7 +200,7 @@ def node_from(plane: Plane, a: int, b: int) -> Node:
     """
     complete = _COMPLETIONS.get(plane.axes)
     if complete is None:  # a plane has two or three axes, and every pair is a key
-        raise ValueError(f"node_from needs a two-axis plane, got {plane.name!r}")
+        raise DomainError(f"node_from needs a two-axis plane, got {plane.name!r}")
     n, k = complete(a, b)
     return Node(n + k, n - k, n, k)
 
@@ -259,7 +259,7 @@ def planarity_residual(node: Node, plane: Plane) -> int:
     """Value of the plane's linear equation at a node; zero for every valid node."""
     terms = _RESIDUALS.get(plane.axes)
     if terms is None:  # every three-axis order is a key
-        raise ValueError(f"planarity applies to three-axis planes, got {plane.name!r}")
+        raise DomainError(f"planarity applies to three-axis planes, got {plane.name!r}")
     get, ca, cb, cc = terms
     a, b, c = get(node)
     return ca * a + cb * b + cc * c
@@ -268,7 +268,7 @@ def planarity_residual(node: Node, plane: Plane) -> int:
 def planarity_equation(plane: Plane) -> str:
     """Human-readable equation of a three-axis plane, e.g. ``'i + j - 2n = 0'``."""
     if not plane.is_spatial:
-        raise ValueError(f"planarity applies to three-axis planes, got {plane.name!r}")
+        raise DomainError(f"planarity applies to three-axis planes, got {plane.name!r}")
     coeffs = PLANARITY[frozenset(plane.axes)]
     parts: list[str] = []
     for axis in AXES:

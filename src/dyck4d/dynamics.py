@@ -30,7 +30,7 @@ import sys
 from collections.abc import Iterable, Iterator
 
 from .coords import MAX_COORD, Node, _Value, iter_nodes
-from .errors import NotANode, OutOfRange, ResourceLimit, TableFormatError
+from .errors import DomainError, NotANode, OutOfRange, ResourceLimit, TableFormatError
 
 # Desk-scale guard against accidental huge builds; callers that really want
 # a bigger table pass a larger cap explicitly.
@@ -106,7 +106,7 @@ def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable
 
 def _check_bound(max_i: int, cap: int) -> None:
     if max_i < 0:
-        raise ValueError(f"max_i must be nonnegative, got {max_i}")
+        raise DomainError(f"max_i must be nonnegative, got {max_i}")
     if max_i > cap:
         raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {cap}")
 
@@ -115,7 +115,7 @@ def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
     """The n-th Catalan number, C(2n, n) / (n + 1): the count at (2n, 0),
     so the position cap applies to 2n."""
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise DomainError(f"n must be nonnegative, got {n}")
     if 2 * n > cap:
         raise ResourceLimit(
             f"catalan({n}) needs positions up to {2 * n}, beyond the cap of {cap}"

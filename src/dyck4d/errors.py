@@ -9,8 +9,8 @@ class NotANode(DyckError):
     """The given coordinates do not describe a valid lattice node."""
 
 
-class DomainError(DyckError):
-    """Arguments lie outside an operation's mathematical domain."""
+class DomainError(DyckError, ValueError):
+    """Arguments lie outside an operation's mathematical domain; also a ``ValueError``."""
 
 
 class OutOfRange(DyckError):

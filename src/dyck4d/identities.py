@@ -23,7 +23,7 @@ def binomial(n: int, k: int) -> int:
     rejects, is an empty choice here.
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise DomainError(f"n must be nonnegative, got {n}")
     if k < 0:
         return 0
     return math.comb(n, k)
@@ -134,7 +134,7 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
     cap applies to position 2v, where Cat(v) sits.
     """
     if v < 0:
-        raise ValueError(f"v must be nonnegative, got {v}")
+        raise DomainError(f"v must be nonnegative, got {v}")
     if 2 * v > cap:
         raise ResourceLimit(
             f"decomposing column {v} needs positions up to {2 * v}, "

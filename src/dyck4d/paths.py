@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
 from .coords import Node, Plane, _Value
-from .errors import InvalidCharacter, PrefixViolation, ResourceLimit
+from .errors import DomainError, InvalidCharacter, PrefixViolation, ResourceLimit
 
 # Hard caps, deliberately not configurable: the scanners exist to validate
 # tables at test scale, not for production counting.
@@ -169,7 +169,7 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     downstep runs back to the left; which steps do that depends on the plane.
     """
     if plane.is_spatial:
-        raise ValueError(f"project_path needs a two-axis plane, got {plane.name!r}")
+        raise DomainError(f"project_path needs a two-axis plane, got {plane.name!r}")
     points = tuple(map(attrgetter(*plane.axes), path.nodes))
     moves = []
     for step, before, after in zip(path.word.steps, points, points[1:]):
@@ -181,7 +181,7 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
 def enumerate_words(m: int) -> Iterator[DyckWord]:
     """All complete words of semilength m, lexicographic with U before D."""
     if m < 0:
-        raise ValueError(f"semilength must be nonnegative, got {m}")
+        raise DomainError(f"semilength must be nonnegative, got {m}")
     if m > ENUMERATION_CAP:
         raise ResourceLimit(
             f"semilength {m} exceeds the enumeration cap of {ENUMERATION_CAP}"
@@ -232,7 +232,7 @@ def count_paths_by_height(i: int) -> tuple[int, ...]:
     forms.  Bit b of the scan mask set means step b is an upstep.
     """
     if i < 0:
-        raise ValueError(f"position must be nonnegative, got {i}")
+        raise DomainError(f"position must be nonnegative, got {i}")
     if i > COUNT_SCAN_CAP:
         raise ResourceLimit(f"position {i} exceeds the scan cap of {COUNT_SCAN_CAP}")
     counts = [0] * (i + 1)

@@ -51,12 +51,12 @@ class Plane:
 
     def __post_init__(self):
         if len(self.axes) not in (2, 3):
-            raise ValueError(f"a plane selects 2 or 3 axes, got {self.axes!r}")
+            raise DomainError(f"a plane selects 2 or 3 axes, got {self.axes!r}")
         if len(set(self.axes)) != len(self.axes):
-            raise ValueError(f"plane axes must be distinct, got {self.axes!r}")
+            raise DomainError(f"plane axes must be distinct, got {self.axes!r}")
         for axis in self.axes:
             if axis not in AXES:
-                raise ValueError(f"unknown axis {axis!r}, expected one of {AXES}")
+                raise DomainError(f"unknown axis {axis!r}, expected one of {AXES}")
 
     @classmethod
     def parse(cls, name: str) -> "Plane":
@@ -81,9 +81,9 @@ class Isoline:
 
     def __post_init__(self):
         if self.family not in AXES:
-            raise ValueError(f"unknown isoline family {self.family!r}")
+            raise DomainError(f"unknown isoline family {self.family!r}")
         if self.index < 0:
-            raise ValueError(f"isoline index must be nonnegative, got {self.index}")
+            raise DomainError(f"isoline index must be nonnegative, got {self.index}")
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,16 @@ class TestDynamics:
         assert code == 0
         assert out == "0 (unreachable)\n"
 
+    @pytest.mark.parametrize("i, j", [("-2", "0"), ("4097", "4098")])
+    def test_unreachable_is_zero_at_any_position(self, i, j):
+        assert invoke("dynamics", i, j) == (0, "0 (unreachable)\n", "")
+
     def test_negative_coordinates(self):
         assert invoke("dynamics", "-3", "1")[1] == "0 (unreachable)\n"
 
-    @pytest.mark.parametrize("i, j", [("4097", "1"), ("99999", "99999")])
+    # Past MAX_COORD a reachable (i, j) still has a nonzero count: refused, never "0".
+    @pytest.mark.parametrize("i, j", [("4097", "1"), ("99999", "99999"), ("2147483648", "0"),
+                                      ("1000000000000000000000000000000", "0")])
     def test_over_cap_names_the_position(self, i, j):
         assert invoke("dynamics", i, j) == (
             2, "", f"resource limit: position {i} exceeds the position cap of 4096\n")
@@ -278,6 +284,13 @@ class TestRender:
         assert (code, out) == (1, "")
         assert err == "error: --svg needs a file path, got an empty one\n"
 
+    def test_nul_in_svg_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("render", "--plane", "ij", "--max-i", "1", "--svg", "a\x00b")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot write a\x00b: embedded null byte\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])
     def test_output_cap_refuses_at_once(self, tmp_path, svg):
         # About 20 GB of text, or 10 GB of SVG, uncapped.
@@ -414,6 +427,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "dyck4d" in capsys.readouterr().out
+        # With stdout= given, the help goes there and nowhere else.
+        for argv, usage in ((["--help"], "usage: dyck4d "),
+                            (["table", "--help"], "usage: dyck4d table ")):
+            code, out, err = invoke(*argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(usage)
+            assert capsys.readouterr() == ("", "")
 
 
 class _FullDisk(io.StringIO):
