@@ -201,8 +201,8 @@ def _cmd_render(args, out: TextIOBase) -> int:
                 handle.write(document)
         except OSError as exc:
             raise DomainError(f"cannot write {args.svg}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # a NUL in the path; a ValueError has no strerror
-            raise DomainError(f"cannot write {args.svg}: {exc}") from exc
+        except ValueError as exc:  # a NUL in the path, shown escaped; no strerror
+            raise DomainError(f"cannot write {args.svg!r}: {exc}") from exc
     else:
         out.write(document)
     return 0

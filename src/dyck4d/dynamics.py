@@ -25,7 +25,6 @@ come in export order, as both writers emit them.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -286,6 +285,7 @@ def table_from_csv(text: str) -> DynamicsTable:
 
 def _parse_csv(text: str) -> DynamicsTable:
     import csv
+    import re
     # One line at a time: io.StringIO would hold a four-byte copy of each character.
     rows = csv.reader(line.group() for line in re.finditer(r".*\n|.+", text))
     try:

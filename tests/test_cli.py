@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_golden
 import dyck4d
 from dyck4d import CheckResult, build_table, cli, dynamics, table_to_csv, table_to_json, verify
 from dyck4d.cli import run
@@ -20,6 +21,12 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+# The CLI contract: every case of tests/data/cli_golden.json, exit code, stdout and stderr.
+@pytest.mark.parametrize("case", cli_golden.load(), ids=cli_golden.case_id)
+def test_contract_corpus(case):
+    assert cli_golden.pins(case, *cli_golden.run_case(case)) == cli_golden.expected(case)
 
 
 class TestCatalan:
@@ -288,7 +295,7 @@ class TestRender:
         monkeypatch.chdir(tmp_path)
         code, out, err = invoke("render", "--plane", "ij", "--max-i", "1", "--svg", "a\x00b")
         assert (code, out) == (1, "")
-        assert err == "error: cannot write a\x00b: embedded null byte\n"
+        assert err == "error: cannot write 'a\\x00b': embedded null byte\n"  # no raw NUL
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])

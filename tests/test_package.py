@@ -42,9 +42,9 @@ PUBLIC = {
 }
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, *flags: str) -> str:
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.returncode == 0, result.stderr
@@ -117,6 +117,12 @@ def test_slow_commands_load_no_dataclasses_inspect_or_typing():
     assert not (set(imported) - bare) & heavy
     assert not (set(loaded) - bare) & heavy
     assert {"dyck4d.paths", "dyck4d.render", "dyck4d.verify"} <= set(imported)
+
+
+def test_dynamics_loads_no_re():
+    # Only the CSV parser needs re; -S keeps site, which may load it, out of the way.
+    out = run_python("import sys, dyck4d.dynamics; print('re' in sys.modules)", "-S")
+    assert out == "False\n"
 
 
 def test_importing_an_export_loads_no_json_or_csv():

@@ -202,6 +202,15 @@ def test_node_is_not_its_tuple():
     assert Node(2, 0, 1, 1) != ref.Node(2, 0, 1, 1)
 
 
+def test_a_value_equals_only_its_own_class():
+    # Node has its own __eq__; every other value class defers through _Value's.
+    dec = Decomposition(1, (1,))
+    assert dec.__eq__((1, (1,))) is NotImplemented
+    assert dec != (1, (1,)) and (1, (1,)) != dec
+    assert dec != ref.Decomposition(1, (1,))
+    assert dec == Decomposition(1, (1,))
+
+
 @pytest.mark.parametrize("max_i", [0, 1, 7, 40])
 def test_tables_and_decompositions_match_the_dataclass(max_i):
     table = build_table(max_i)

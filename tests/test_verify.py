@@ -157,18 +157,45 @@ def _counting(real):
     return lambda diagram: real(diagram) + str(next(calls))
 
 
-def _without_a_kj_node(real):
-    def layout(spec):
-        diagram = real(spec)
-        if spec.plane.name != "kj":
-            return diagram
-        return render.Diagram(diagram.spec, diagram.plane, diagram.note, diagram.nodes[:-1],
-                              diagram.isolines, diagram.path, diagram.highlights)
-    return layout
+def _kj_nodes(edit):
+    """A fault for ``render.layout``: the kj diagram's placed nodes go through ``edit``."""
+    def fault(real):
+        def layout(spec):
+            diagram = real(spec)
+            if spec.plane.name != "kj":
+                return diagram
+            return render.Diagram(diagram.spec, diagram.plane, diagram.note, edit(diagram.nodes),
+                                  diagram.isolines, diagram.path, diagram.highlights)
+        return layout
+    return fault
+
+
+def _zero_label(nodes):
+    last = nodes[-1]
+    return nodes[:-1] + (render.PlacedNode(last.node, last.x, last.y, "0"),)
+
+
+def _bumped_decomposition(at_v, at_k):
+    """A fault for ``identities.decompose_catalan``: term k of column v one too high."""
+    return lambda real: lambda v: identities.Decomposition(
+        v, tuple(t + ((v, k) == (at_v, at_k)) for k, t in enumerate(real(v).terms)))
+
+
+def _drifting_trace(axis):
+    """A fault for ``paths.trace``: the nodes' ``axis`` grows by one more at each step."""
+    def fault(real):
+        def trace(word):
+            return SimpleNamespace(nodes=[
+                SimpleNamespace(**{"n": node.n, "k": node.k, axis: getattr(node, axis) + step})
+                for step, node in enumerate(real(word).nodes)])
+        return trace
+    return fault
 
 
 # (check, patched owner, attribute, replacement made from the real one, the check's detail)
 _FAULTS = [
+    ("column-tops", DynamicsTable, "count",
+     lambda real: lambda self, i, j: real(self, i, j) + (i == j == 3), "count(3, 3) != 1"),
     ("reachability", coords, "is_reachable", lambda real: lambda i, j: True,
      "is_reachable(-2, -2) disagrees with node completion"),
     ("projection-roundtrip", coords, "node_from",
@@ -181,24 +208,41 @@ _FAULTS = [
     ("special-terms", identities, "square_term_special",
      lambda real: lambda v, k: real(v, k) + (v == 9),
      "dedicated form 2 != general 1 at (v=9, k=0)"),
-    ("decomposition", identities, "decompose_catalan",
-     lambda real: lambda v: identities.Decomposition(v, (2,) + real(v).terms[1:]),
+    ("decomposition", identities, "decompose_catalan", _bumped_decomposition(0, 0),
      "first term not 1 at v = 0"),
+    ("decomposition", identities, "decompose_catalan", _bumped_decomposition(5, 2),
+     "last term wrong at v = 5"),
+    ("decomposition", identities, "decompose_catalan", _bumped_decomposition(4, 1),
+     "squared sum wrong at v = 4"),
     ("path-geometry", paths, "project_path",
      lambda real: lambda path, plane: SimpleNamespace(points=((0, 1),)),
      "nk projection crossed the diagonal: UD"),
+    ("path-geometry", paths, "trace", _drifting_trace("k"), "upstep changed k in UD"),
+    ("path-geometry", paths, "trace", _drifting_trace("n"), "downstep changed n in UD"),
     ("enumeration-count", paths, "enumerate_words",
      lambda real: lambda m: list(real(m))[:-1] if m == 3 else real(m),
      "4 words of semilength 3, expected catalan(3)"),
+    ("enumeration-count", paths, "enumerate_words", lambda real: lambda m: list(real(m))[::-1],
+     "order or distinctness broken at m = 2"),
     ("table-serialization", dynamics, "_parse_csv", lambda real: lambda text: dynamics.build_table(0),
      "CSV round-trip changed the table"),
+    ("table-serialization", dynamics, "_parse_json", lambda real: lambda text: dynamics.build_table(0),
+     "JSON round-trip changed the table"),
     ("render-determinism", render, "emit", _counting, "same spec emitted different bytes"),
-    ("kj-coverage", render, "layout", _without_a_kj_node, "kj quadrant has holes or extras"),
+    ("kj-coverage", render, "layout", _kj_nodes(lambda nodes: nodes[:-1]),
+     "kj quadrant has holes or extras"),
+    ("kj-coverage", render, "layout", _kj_nodes(_zero_label), "non-positive label in the kj quadrant"),
 ]
 
 
+def _fault_id(n):
+    """The check's name; with the detail where an earlier fault guards the same check."""
+    name, detail = _FAULTS[n][0], _FAULTS[n][-1]
+    return name if all(case[0] != name for case in _FAULTS[:n]) else f"{name}: {detail}"
+
+
 @pytest.mark.parametrize("name, owner, attr, fault, detail", _FAULTS,
-                         ids=[case[0] for case in _FAULTS])
+                         ids=map(_fault_id, range(len(_FAULTS))))
 def test_a_fault_fails_the_check_that_guards_it(monkeypatch, name, owner, attr, fault, detail):
     # The run reports the fault instead of raising.
     monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
