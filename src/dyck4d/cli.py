@@ -130,6 +130,8 @@ def _cmd_dynamics(args, out: TextIOBase) -> int:
 
 
 def _cmd_decompose(args, out: TextIOBase) -> int:
+    if 0 <= args.v <= DEFAULT_POSITION_CAP // 2:  # the squared sum, Cat(v), before the recurrence
+        _check_count_digits(catalan(args.v))
     doc = decompose_catalan(args.v).to_json_dict()  # every count as a checked string
     if args.json:
         import json

@@ -5,9 +5,11 @@ it passed and a short detail string.  :data:`_CHECKS` names every check once,
 in run order, and :func:`run_checks` alone makes each :class:`CheckResult`,
 with the seconds the check took; the command line's ``verify`` subcommand
 prints one line per check, or one JSON record per check with ``--json``.
-Every check reads the one count table built for the bound; the Catalan
-numbers past it come from :func:`_catalans`, which holds two columns.  Only
-square-terms compares whole closed-form columns with the table's; the point
+No table is held for the bound: each check that reads counts walks the
+recurrence's columns itself, keeping at most the previous one, or builds the
+small prefix table it needs, so a check's seconds cover everything it reads.
+The Catalan numbers come from :func:`_catalans`, which reads no column.  Only
+square-terms compares whole closed-form columns with the recurrence's; the point
 forms (square_term, convolution) are compared at the k that :func:`_point_ks` picks.
 Checks that compare against the brute-force scanners clamp themselves to the
 scanners' hard caps.
@@ -40,7 +42,7 @@ class CheckResult(coords._Value):
         self._set(name, passed, detail, seconds)
 
     def _astuple(self) -> tuple:
-        # Leaves out seconds: the check's own wall time, without the shared table's build.
+        # Leaves out seconds: the wall time of the check and of all it reads.
         return self.name, self.passed, self.detail
 
 
@@ -60,13 +62,15 @@ def _random_word(rng: random.Random, semilength: int) -> paths.DyckWord:
 
 
 def _catalans(v_max: int) -> Iterator[int]:
-    """Catalan numbers 0 through ``v_max``: Catalan number v is count(2v, 0),
-    the last entry of column 2v, which can lie past the bound; no table is held."""
-    for col in itertools.islice(dynamics._columns(2 * v_max), None, None, 2):
-        yield col[-1]
+    """Catalan numbers 0 through ``v_max`` by the ratio recurrence
+    C(v+1) = C(v)·2(2v+1)/(v+2), which reads neither a column nor ``math.comb``."""
+    cat = 1
+    for v in range(v_max + 1):
+        yield cat
+        cat = cat * 2 * (2 * v + 1) // (v + 2)
 
 
-def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_node_equations(bound: int) -> _Outcome:
     total = 0
     for node in coords.iter_nodes(bound):
         total += 1
@@ -81,7 +85,7 @@ def _check_node_equations(bound: int, _table: dynamics.DynamicsTable) -> _Outcom
     return True, f"{total} nodes with i <= {bound}"
 
 
-def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_reachability(bound: int) -> _Outcome:
     checked = 0
     for i in range(-2, bound + 1):
         for j in range(-2, i + 3):
@@ -96,7 +100,7 @@ def _check_reachability(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"{checked} (i, j) pairs"
 
 
-def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_roundtrip(bound: int) -> _Outcome:
     node_from, project = coords.node_from, coords.project
     total = 0
     for node in coords.iter_nodes(bound):
@@ -107,7 +111,7 @@ def _check_roundtrip(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"{total} projections"
 
 
-def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_planarity(bound: int) -> _Outcome:
     residual = coords.planarity_residual
     total = 0
     for node in coords.iter_nodes(bound):
@@ -118,59 +122,63 @@ def _check_planarity(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"{total} residuals, all zero"
 
 
-def _check_recurrence(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
-    for node in coords.iter_nodes(bound):
-        if node.i == 0:
-            continue
-        expected = table.count(node.i - 1, node.j + 1) + table.count(node.i - 1, node.j - 1)
-        if table.count(node.i, node.j) != expected:
-            return False, f"recurrence fails at ({node.i}, {node.j})"
-    return True, f"{len(table)} entries, i <= {bound}"
+def _check_recurrence(bound: int) -> _Outcome:
+    entries, prev = 0, {}
+    for i, col in enumerate(dynamics._columns(bound)):
+        counts = dict(zip(range(i, -1, -2), col))  # by height j = i - 2k
+        entries += len(col)
+        for j, value in counts.items():
+            if i and value != prev.get(j + 1, 0) + prev.get(j - 1, 0):
+                return False, f"recurrence fails at ({i}, {j})"
+        prev = counts
+    return True, f"{entries} entries, i <= {bound}"
 
 
-def _check_four_coordinate_form(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
-    for node in coords.iter_nodes(bound):
-        value = table.count_node(node)
-        if value != table.count(node.i, node.j):
-            return False, f"2D/4D disagree at {node}"
-        if node.i == 0:
-            continue
-        up = (
-            coords.Node(node.i - 1, node.j + 1, node.n, node.k - 1)
-            if node.k >= 1 else None
-        )
-        down = (
-            coords.Node(node.i - 1, node.j - 1, node.n - 1, node.k)
-            if node.j >= 1 else None
-        )
-        total = (table.count_node(up) if up else 0) + (table.count_node(down) if down else 0)
-        if value != total:
-            return False, f"shifted recurrence fails at {node}"
+def _check_four_coordinate_form(bound: int) -> _Outcome:
+    # Column i takes the next len(col) nodes: a node out of step reads the wrong column.
+    nodes, prev = coords.iter_nodes(bound), ()
+    for i, col in enumerate(dynamics._columns(bound)):
+        counts = dict(zip(range(i, -1, -2), col))
+        for node in itertools.islice(nodes, len(col)):
+            value = col[node.k]
+            if value != counts.get(node.j, 0):
+                return False, f"2D/4D disagree at {node}"
+            if node.i == 0:
+                continue
+            up = coords.Node(node.i - 1, node.j + 1, node.n, node.k - 1) if node.k else None
+            down = coords.Node(node.i - 1, node.j - 1, node.n - 1, node.k) if node.j else None
+            total = (prev[up.k] if up else 0) + (prev[down.k] if down else 0)
+            if value != total:
+                return False, f"shifted recurrence fails at {node}"
+        prev = col
     return True, f"all nodes with i <= {bound}"
 
 
-def _check_bottom_rows(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
-    for n in range(1, bound // 2 + 1):
-        if table.count(2 * n, 0) != table.count(2 * n - 1, 1):
-            return False, f"rows disagree at n = {n}"
+def _check_bottom_rows(bound: int) -> _Outcome:
+    prev = ()
+    for i, col in enumerate(dynamics._columns(bound)):
+        # An even column ends at height 0, the odd one before it at height 1.
+        if i and i % 2 == 0 and col[-1] != prev[-1]:
+            return False, f"rows disagree at n = {i // 2}"
+        prev = col
     return True, f"n <= {bound // 2}"
 
 
-def _check_column_tops(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
-    for i in range(bound + 1):
-        if table.count(i, i) != 1:
+def _check_column_tops(bound: int) -> _Outcome:
+    for i, col in enumerate(dynamics._columns(bound)):
+        if col[0] != 1:
             return False, f"count({i}, {i}) != 1"
     return True, f"i <= {bound}"
 
 
-def _check_oracle(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_oracle(bound: int) -> _Outcome:
     scan_bound = min(bound, paths.COUNT_SCAN_CAP)
     positions = 0
-    for i in range(scan_bound + 1):
+    for i, col in enumerate(dynamics._columns(scan_bound)):
         by_height = paths.count_paths_by_height(i)
-        for j in range(i, -1, -2):  # the order of iter_nodes
+        for j, value in zip(range(i, -1, -2), col):  # the order of iter_nodes
             positions += 1
-            if by_height[j] != table.count(i, j):
+            if by_height[j] != value:
                 return False, f"brute force disagrees at ({i}, {j})"
     return True, f"{positions} positions, i <= {scan_bound}"
 
@@ -184,9 +192,9 @@ def _point_ks(i: int, lo: int = 0) -> Iterable[int]:
     return sorted({k for k in (0, 1, 2, i // 2) if lo <= k})
 
 
-def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_square_terms(bound: int) -> _Outcome:
     total = 0
-    for i, col in enumerate(table._cols):
+    for i, col in enumerate(dynamics._columns(bound)):
         terms = identities.square_terms(i)
         total += len(col)
         if terms != col:
@@ -198,25 +206,25 @@ def _check_square_terms(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"{total} terms, i <= {bound}"
 
 
-def _check_convolution(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_convolution(bound: int) -> _Outcome:
     # Entry (n, j) is count(2n - j, j): column i = 2n - j at k = n - j.  So column i
     # holds the entries of rows n = i - k <= bound // 2, those with k >= i - bound // 2.
-    for i in range(bound + 1):
+    for i, col in enumerate(dynamics._columns(bound)):
         for k in _point_ks(i, max(0, i - bound // 2)):
             n, j = i - k, i - 2 * k
-            if identities.convolution(n, j) != table.count(i, j):
+            if identities.convolution(n, j) != col[k]:
                 return False, f"convolution disagrees with its column at (n={n}, j={j})"
     return True, f"n <= {bound // 2}"
 
 
-def _check_sum_of_squares(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_sum_of_squares(bound: int) -> _Outcome:
     for v, cat in enumerate(_catalans(bound)):
         if sum(t * t for t in identities.square_terms(v)) != cat:
             return False, f"identity fails at v = {v}"
     return True, f"v <= {bound}"
 
 
-def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_special_terms(bound: int) -> _Outcome:
     checked = 0
     for v in range(bound + 1):
         for k in {0, 1, 2, v // 2}:
@@ -230,7 +238,7 @@ def _check_special_terms(bound: int, _table: dynamics.DynamicsTable) -> _Outcome
     return True, f"{checked} special terms, v <= {bound}"
 
 
-def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_decomposition(bound: int) -> _Outcome:
     limit = min(bound, 40)
     cats = list(_catalans(limit))
     for v in range(limit + 1):
@@ -247,7 +255,7 @@ def _check_decomposition(bound: int, _table: dynamics.DynamicsTable) -> _Outcome
     return True, f"v <= {limit}"
 
 
-def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_path_geometry(bound: int) -> _Outcome:
     rng = random.Random(GEOMETRY_SEED)
     size_cap = min(bound // 2, 12)
     for _ in range(GEOMETRY_WORDS):
@@ -264,11 +272,11 @@ def _check_path_geometry(bound: int, _table: dynamics.DynamicsTable) -> _Outcome
     return True, f"{GEOMETRY_WORDS} seeded words of semilength <= {size_cap}"
 
 
-def _check_enumeration(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_enumeration(bound: int) -> _Outcome:
     limit = min(bound // 2, 10)
-    for m in range(limit + 1):
+    for m, cat in enumerate(_catalans(limit)):
         words = list(paths.enumerate_words(m))
-        if len(words) != table.count(2 * m, 0):
+        if len(words) != cat:
             return False, f"{len(words)} words of semilength {m}, expected catalan({m})"
         parens = [paths.format_word(w) for w in words]
         if parens != sorted(parens) or len(set(parens)) != len(parens):
@@ -276,9 +284,9 @@ def _check_enumeration(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"m <= {limit}"
 
 
-def _check_serialization(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_serialization(bound: int) -> _Outcome:
     size = min(bound, 32)
-    prefix = dynamics.DynamicsTable(size, table._cols[: size + 1])
+    prefix = dynamics.build_table(size)
     csv_text, json_text = dynamics.table_to_csv(prefix), dynamics.table_to_json(prefix)
     try:
         # An export imports by matching the writer's own formatting; the parsers share none.
@@ -291,9 +299,9 @@ def _check_serialization(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
     return True, f"CSV and JSON, i <= {size}"
 
 
-def _check_render_determinism(bound: int, table: dynamics.DynamicsTable) -> _Outcome:
+def _check_render_determinism(bound: int) -> _Outcome:
     spec = render.DiagramSpec(plane=_IJ, max_i=min(bound, 8), fmt="svg")
-    diagram = render.layout(spec)
+    diagram, table = render.layout(spec), dynamics.build_table(spec.max_i)
     if render.emit(diagram) != render.emit(render.layout(spec)):
         return False, "same spec emitted different bytes"
     for placed in diagram.nodes:
@@ -302,7 +310,7 @@ def _check_render_determinism(bound: int, table: dynamics.DynamicsTable) -> _Out
     return True, f"ij diagram, i <= {spec.max_i}"
 
 
-def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
+def _check_kj_coverage(bound: int) -> _Outcome:
     limit = min(bound, 12)
     diagram = render.layout(render.DiagramSpec(plane=coords.Plane.parse("kj"), max_i=limit))
     placed = {(p.x, p.y): p.label for p in diagram.nodes}
@@ -317,7 +325,7 @@ def _check_kj_coverage(bound: int, _table: dynamics.DynamicsTable) -> _Outcome:
 
 
 # Every check by name, in run order.
-_CHECKS: dict[str, Callable[[int, dynamics.DynamicsTable], _Outcome]] = {
+_CHECKS: dict[str, Callable[[int], _Outcome]] = {
     "node-equations": _check_node_equations,
     "reachability": _check_reachability,
     "projection-roundtrip": _check_roundtrip,
@@ -342,10 +350,10 @@ _CHECKS: dict[str, Callable[[int, dynamics.DynamicsTable], _Outcome]] = {
 
 def run_checks(max_i: int = 32) -> list[CheckResult]:
     """Run every invariant check within the given position bound, timing each."""
-    table = dynamics.build_table(max_i)  # rejects a negative bound
+    dynamics._check_bound(max_i, dynamics.DEFAULT_POSITION_CAP)
     results = []
     for name, check in _CHECKS.items():
         start = time.perf_counter()
-        passed, detail = check(max_i, table)
+        passed, detail = check(max_i)
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

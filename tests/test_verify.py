@@ -8,7 +8,6 @@ import pytest
 from dyck4d import CheckResult, coords, dynamics, identities, paths, render, run_checks, verify
 
 GOLDEN = Path(__file__).parent / "data" / "verify_details.json"
-from dyck4d.dynamics import DynamicsTable
 
 
 def test_every_check_is_timed():
@@ -28,20 +27,30 @@ def test_rejects_negative_bound():
         run_checks(-1)
 
 
-def test_table_for_the_bound_is_built_once(monkeypatch):
-    # Every check reads the one table; none builds a table of another size.
+def _record_sizes(monkeypatch, owner, attr):
+    """The first argument of every call to ``owner.attr``, in call order."""
     sizes = []
-    real = dynamics.build_table
+    real = getattr(owner, attr)
 
-    def counting(max_i, **kwargs):
+    def recording(max_i, **kwargs):
         sizes.append(max_i)
         return real(max_i, **kwargs)
 
-    monkeypatch.setattr(dynamics, "build_table", counting)
-    for bound in (0, 1, 14, 50, 64):
-        sizes.clear()
-        run_checks(bound)
-        assert sizes == [bound]
+    monkeypatch.setattr(owner, attr, recording)
+    return sizes
+
+
+def test_no_table_past_32_is_built(monkeypatch):
+    # No table is held for the bound: only the prefix checks build one, at their own size.
+    sizes = _record_sizes(monkeypatch, dynamics, "build_table")
+    run_checks(64)
+    assert sizes and max(sizes) <= 32
+
+
+def test_no_column_past_the_bound_is_made(monkeypatch):
+    sizes = _record_sizes(monkeypatch, dynamics, "_columns")
+    run_checks(64)
+    assert sizes and max(sizes) <= 64
 
 
 @pytest.mark.parametrize("bound", ["0", "1", "13", "64", "128", "512"])
@@ -53,30 +62,33 @@ def test_details_match_golden(bound):
     assert got == expected
 
 
+def _bumped_columns(at_i, at_ks):
+    """A fault for ``dynamics._columns``: the counts of column i at each k one too high."""
+    def fault(real):
+        def columns(max_i):
+            for i, col in enumerate(real(max_i)):
+                yield tuple(v + (i == at_i and k in at_ks) for k, v in enumerate(col))
+        return columns
+    return fault
+
+
 def test_bumped_count_fails_oracle_and_recurrence(monkeypatch):
-    real = dynamics.build_table
-
-    def tampered(max_i, **kwargs):
-        table = real(max_i, **kwargs)
-        if max_i < 5:
-            return table
-        cols = list(table._cols)
-        cols[5] = (cols[5][0], cols[5][1] + 1, cols[5][2] + 1)  # count(5, 3) and count(5, 1)
-        return DynamicsTable(table.max_i, tuple(cols))
-
-    monkeypatch.setattr(dynamics, "build_table", tampered)
-    results = {r.name: r for r in run_checks(14)}
-    # Each check reports the first mismatch in column order, k ascending.
-    assert not results["oracle-equivalence"].passed
-    assert results["oracle-equivalence"].detail == "brute force disagrees at (5, 3)"
-    assert not results["recurrence-closure"].passed
-    assert results["recurrence-closure"].detail == "recurrence fails at (5, 3)"
-    # The matrix entry (4, 3) is count(5, 3).
-    assert results["convolution-matrix"].detail == "convolution disagrees with its column at (n=4, j=3)"
-    # The importer rejects the wrong export; the check reports it instead of raising.
-    assert results["table-serialization"].detail == (
-        "import rejected the export: entry at (5, 3) fails the recurrence: 5 != 1 + 3"
-    )
+    # count(5, 3) and count(5, 1), in every walk of the columns and every table built from one.
+    monkeypatch.setattr(dynamics, "_columns", _bumped_columns(5, (1, 2))(dynamics._columns))
+    details = {r.name: r.detail for r in run_checks(14) if not r.passed}
+    # Each check reports the first mismatch in column order, k ascending; every check
+    # that reads column 5 fails.  The matrix entry (4, 3) is count(5, 3), and the
+    # importer rejects the wrong export: the check reports it instead of raising.
+    assert details == {
+        "recurrence-closure": "recurrence fails at (5, 3)",
+        "four-coordinate-form": "shifted recurrence fails at Node(i=5, j=3, n=4, k=1)",
+        "bottom-rows": "rows disagree at n = 3",
+        "oracle-equivalence": "brute force disagrees at (5, 3)",
+        "square-terms": "closed form disagrees at (i=5, k=1)",
+        "convolution-matrix": "convolution disagrees with its column at (n=4, j=3)",
+        "table-serialization":
+            "import rejected the export: entry at (5, 3) fails the recurrence: 5 != 1 + 3",
+    }
 
 
 def test_sum_of_squares_builds_no_table(monkeypatch):
@@ -84,7 +96,8 @@ def test_sum_of_squares_builds_no_table(monkeypatch):
         raise AssertionError("sum-of-squares built a whole count table")
 
     monkeypatch.setattr(dynamics, "build_table", refuse)
-    assert verify._check_sum_of_squares(64, None) == (True, "v <= 64")
+    monkeypatch.setattr(dynamics, "_columns", refuse)
+    assert verify._check_sum_of_squares(64) == (True, "v <= 64")
 
 
 def bump_column_term(monkeypatch, i=37, k=5):
@@ -100,7 +113,7 @@ def bump_column_term(monkeypatch, i=37, k=5):
 
 def test_sum_of_squares_fails_on_a_wrong_term(monkeypatch):
     bump_column_term(monkeypatch)
-    assert verify._check_sum_of_squares(64, None) == (False, "identity fails at v = 37")
+    assert verify._check_sum_of_squares(64) == (False, "identity fails at v = 37")
 
 
 def test_a_wrong_column_term_fails_every_check_that_reads_it(monkeypatch):
@@ -144,12 +157,11 @@ def test_a_wrong_point_term_fails_the_checks_that_call_it(monkeypatch):
 def test_point_terms_past_the_point_columns_are_checked_at_the_special_k(monkeypatch, k):
     real = identities.square_term
     monkeypatch.setattr(identities, "square_term", lambda i, kk: real(i, kk) + ((i, kk) == (200, k)))
-    table = dynamics.build_table(200)
-    assert verify._check_square_terms(200, table) == (
+    assert verify._check_square_terms(200) == (
         False, f"square_term disagrees with its column at (i=200, k={k})"
     )
     # Column 200 holds one matrix entry at bound 200: row n = 100, j = 0, at k = 100.
-    assert verify._check_convolution(200, table)[0] == (k != 100)
+    assert verify._check_convolution(200)[0] == (k != 100)
 
 
 def _counting(real):
@@ -194,8 +206,7 @@ def _drifting_trace(axis):
 
 # (check, patched owner, attribute, replacement made from the real one, the check's detail)
 _FAULTS = [
-    ("column-tops", DynamicsTable, "count",
-     lambda real: lambda self, i, j: real(self, i, j) + (i == j == 3), "count(3, 3) != 1"),
+    ("column-tops", dynamics, "_columns", _bumped_columns(3, (0,)), "count(3, 3) != 1"),
     ("reachability", coords, "is_reachable", lambda real: lambda i, j: True,
      "is_reachable(-2, -2) disagrees with node completion"),
     ("projection-roundtrip", coords, "node_from",
@@ -203,7 +214,9 @@ _FAULTS = [
      "ij does not round-trip Node(i=1, j=1, n=1, k=0)"),
     ("planarity", coords, "planarity_residual", lambda real: lambda node, plane: 1,
      "ijn residual nonzero at Node(i=0, j=0, n=0, k=0)"),
-    ("four-coordinate-form", DynamicsTable, "count_node", lambda real: lambda self, node: 0,
+    # The origin twice: the second reads column 1, where height 0 counts zero.
+    ("four-coordinate-form", coords, "iter_nodes",
+     lambda real: lambda bound: itertools.chain([coords.Node(0, 0, 0, 0)], real(bound)),
      "2D/4D disagree at Node(i=0, j=0, n=0, k=0)"),
     ("special-terms", identities, "square_term_special",
      lambda real: lambda v, k: real(v, k) + (v == 9),
@@ -258,6 +271,6 @@ def test_a_broken_node_fails_node_equations(monkeypatch):
     for axis in coords.AXES:
         coords.Node.__dict__[axis].__set__(node, 1)
     monkeypatch.setattr(coords, "iter_nodes", lambda bound: iter([node]))
-    assert verify._check_node_equations(16, None) == (
+    assert verify._check_node_equations(16) == (
         False, "coordinate equations fail at Node(i=1, j=1, n=1, k=1)"
     )
