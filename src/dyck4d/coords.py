@@ -130,7 +130,7 @@ class Plane(_Value):
         for axis in axes:
             if axis not in AXES:
                 raise DomainError(f"unknown axis {axis!r}, expected one of {AXES}")
-        object.__setattr__(self, "axes", axes)
+        self._set(axes)
 
     @classmethod
     def parse(cls, name: str) -> "Plane":
@@ -162,8 +162,7 @@ class Isoline(_Value):
             raise DomainError(f"unknown isoline family {family!r}")
         if index < 0:
             raise DomainError(f"isoline index must be nonnegative, got {index}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
+        self._set(family, index)
 
 
 def _diag_from_ij(i: int, j: int) -> tuple[int, int]:

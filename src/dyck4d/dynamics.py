@@ -49,8 +49,7 @@ class DynamicsTable(_Value):
     __slots__ = ("max_i", "_cols")
 
     def __init__(self, max_i: int, _cols: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "max_i", max_i)
-        object.__setattr__(self, "_cols", _cols)
+        self._set(max_i, _cols)
 
     def count(self, i: int, j: int) -> int:
         """Path-prefix count at (i, j); zero at unreachable positions."""

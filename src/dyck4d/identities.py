@@ -101,8 +101,7 @@ class Decomposition(_Value):
     __slots__ = ("v", "terms")
 
     def __init__(self, v: int, terms: tuple[int, ...]):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "terms", terms)
+        self._set(v, terms)
 
     @property
     def sum_of_squares(self) -> int:

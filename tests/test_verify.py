@@ -242,6 +242,10 @@ _FAULTS = [
     ("table-serialization", dynamics, "_parse_json", lambda real: lambda text: dynamics.build_table(0),
      "JSON round-trip changed the table"),
     ("render-determinism", render, "emit", _counting, "same spec emitted different bytes"),
+    # The diagram's table has count(3, 3) one too high; verify builds its own.
+    ("render-determinism", render, "build_table", lambda real: lambda max_i: dynamics.DynamicsTable(
+        max_i, tuple(_bumped_columns(3, (0,))(dynamics._columns)(max_i))),
+     "label drift at Node(i=3, j=3, n=3, k=0)"),
     ("kj-coverage", render, "layout", _kj_nodes(lambda nodes: nodes[:-1]),
      "kj quadrant has holes or extras"),
     ("kj-coverage", render, "layout", _kj_nodes(_zero_label), "non-positive label in the kj quadrant"),
