@@ -15,6 +15,7 @@ import dyck4d
 from dyck4d import (CheckResult, build_table, cli, dynamics, identities, table_to_csv,
                     table_to_json, verify)
 from dyck4d.cli import run
+from dyck4d.dynamics import TABLE_FORMAT
 
 
 def invoke(*argv):
@@ -29,7 +30,60 @@ def test_contract_corpus(case):
     assert cli_golden.pins(case, *cli_golden.run_case(case)) == cli_golden.expected(case)
 
 
+class TestCatalan:
+    def test_exact_decimal_never_scientific(self):
+        code, out, _ = invoke("catalan", "100")
+        assert code == 0
+        assert out.strip().isdigit()
+        assert "e" not in out.lower()
+
+    def test_resource_limit(self):
+        code, _, err = invoke("catalan", "99999")
+        assert code == 2
+        assert "limit" in err.lower()
+
+
+class TestDynamics:
+    @pytest.mark.parametrize("i, j", [("-2", "0"), ("4097", "4098")])
+    def test_unreachable_is_zero_at_any_position(self, i, j):
+        assert invoke("dynamics", i, j) == (0, "0 (unreachable)\n", "")
+
+    def test_negative_coordinates(self):
+        assert invoke("dynamics", "-3", "1")[1] == "0 (unreachable)\n"
+
+    # Past MAX_COORD a reachable (i, j) still has a nonzero count: refused, never "0".
+    @pytest.mark.parametrize("i, j", [("4097", "1"), ("99999", "99999"), ("2147483648", "0"),
+                                      ("1000000000000000000000000000000", "0")])
+    def test_over_cap_names_the_position(self, i, j):
+        assert invoke("dynamics", i, j) == (
+            2, "", f"resource limit: position {i} exceeds the position cap of 4096\n")
+
+
 class TestTable:
+    def test_csv_default(self):
+        code, out, _ = invoke("table", "--max-i", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "i,j,n,k,count"
+        assert len(out.splitlines()) == 1 + 4
+
+    def test_json(self):
+        code, out, _ = invoke("table", "--max-i", "3", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["format"] == TABLE_FORMAT
+        assert doc["max_i"] == 3
+        assert all(isinstance(e["count"], str) for e in doc["entries"])
+
+    def test_resource_limit(self):
+        code, _, err = invoke("table", "--max-i", "99999")
+        assert code == 2
+        assert "cap" in err
+
+    def test_missing_flag(self):
+        code, _, err = invoke("table")
+        assert code == 1
+        assert "error" in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("max_i", [*range(41), 300])
     def test_streams_the_export_without_a_table(self, monkeypatch, max_i, fmt):
@@ -42,6 +96,46 @@ class TestTable:
         for module in (cli, dynamics):
             monkeypatch.setattr(module, "build_table", refuse, raising=False)
         assert invoke("table", "--max-i", str(max_i), "--format", fmt) == (0, expected, "")
+
+    @pytest.mark.parametrize("max_i, code, err", [
+        ("4097", 2, "resource limit: max_i = 4097 exceeds the position cap of 4096\n"),
+        ("-1", 1, "error: max_i must be nonnegative, got -1\n"),
+    ])
+    def test_refusal_writes_nothing(self, max_i, code, err):
+        assert invoke("table", "--max-i", max_i) == (code, "", err)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+    def test_digit_limit_is_checked_before_output(self):
+        # Counts in column i have at most i + 1 bits: 663 digits at 2200.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = invoke("table", "--max-i", "2200")
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert result == (
+            2, "", "resource limit: a count of up to 663 digits is beyond the int/str limit 640\n"
+        )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@pytest.mark.parametrize("argv", [
+    ("catalan", "2048"),
+    ("dynamics", "4096", "0"),
+    ("decompose", "2048"),
+    ("decompose", "2048", "--json"),
+])
+def test_every_count_is_checked_against_the_digit_limit_before_output(argv):
+    # Each prints catalan(2048), 1,228 digits, or a sum holding it.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = invoke(*argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert result == (
+        2, "", "resource limit: a count of up to 1228 digits is beyond the int/str limit 640\n"
+    )
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
@@ -60,6 +154,20 @@ def test_decompose_refuses_the_digit_limit_before_the_recurrence(monkeypatch):
 
 
 class TestVerify:
+    def test_passes(self):
+        code, out, _ = invoke("verify", "--max-i", "12")
+        assert code == 0
+        lines = out.splitlines()
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        assert lines[-1].endswith("checks passed")
+
+    def test_line_per_check(self):
+        _, out, _ = invoke("verify", "--max-i", "8")
+        names = [line.split()[1].rstrip(":") for line in out.splitlines()[:-1]]
+        assert "oracle-equivalence" in names
+        assert "sum-of-squares" in names
+        assert len(names) == len(set(names))
+
     def test_json_records(self):
         code, out, _ = invoke("verify", "--max-i", "12", "--json")
         _, text, _ = invoke("verify", "--max-i", "12")
@@ -81,7 +189,47 @@ class TestVerify:
         ]
 
 
+class TestProject:
+    def test_nj(self):
+        code, out, _ = invoke("project", "--plane", "nj", "--word", "()")
+        assert code == 0
+        assert out.splitlines() == [
+            "plane: nj",
+            "start: (0,0)",
+            "U up-right (+1,+1) -> (1,1)",
+            "D down (+0,-1) -> (1,0)",
+        ]
+
+    def test_plane_case_insensitive(self):
+        assert invoke("project", "--plane", "NK", "--word", "()")[0] == 0
+
+    def test_bad_plane(self):
+        code, _, err = invoke("project", "--plane", "xy", "--word", "()")
+        assert code == 1
+        assert "plane" in err
+
+    def test_spatial_plane_rejected(self):
+        code, _, err = invoke("project", "--plane", "ijn", "--word", "()")
+        assert code == 1
+
+    def test_bad_word(self):
+        code, _, err = invoke("project", "--plane", "ij", "--word", "())(")
+        assert code == 1
+        assert "position 3" in err
+
+
+class TestEnumerate:
+    def test_resource_limit(self):
+        assert invoke("enumerate", "17")[0] == 2
+
+
 class TestRender:
+    def test_text_to_stdout(self):
+        code, out, _ = invoke("render", "--plane", "ij", "--max-i", "4")
+        assert code == 0
+        assert out.splitlines()[0] == "j"
+        assert out.splitlines()[-1].endswith("i")
+
     def test_svg_files_byte_identical(self, tmp_path):
         first = tmp_path / "a.svg"
         second = tmp_path / "b.svg"
@@ -98,11 +246,24 @@ class TestRender:
         assert code == 0
         assert '<g id="path">' in target.read_text()
 
+    def test_isoline_subset(self):
+        code, out, _ = invoke("render", "--plane", "ij", "--max-i", "2", "--isolines", "nk")
+        assert code == 0
+
+    def test_word_must_fit(self):
+        code, _, err = invoke("render", "--plane", "ij", "--max-i", "2", "--word", "(())")
+        assert code == 1
+
     def test_unwritable_svg_path(self, tmp_path):
         target = tmp_path / "missing" / "x.svg"
         code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", str(target))
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_empty_svg_path(self):
+        code, out, err = invoke("render", "--plane", "ij", "--max-i", "2", "--svg", "")
+        assert (code, out) == (1, "")
+        assert err == "error: --svg needs a file path, got an empty one\n"
 
     def test_nul_in_svg_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -124,6 +285,35 @@ class TestRender:
         assert err.startswith("resource limit: a diagram up to max_i = 4096 may take ")
         assert err.endswith(" bytes, beyond the output cap of 33554432\n")
         assert not target.exists()
+
+
+# Each ends in an exit code and a one-line message, never a traceback.
+BAD_ARGV = [
+    [], ["frobnicate"], ["--frobnicate"], ["catalan"], ["catalan", "x"], ["catalan", "-1"],
+    ["catalan", "2049"], ["catalan", "1", "2"], ["table"], ["table", "--max-i", "-1"],
+    ["table", "--max-i", "4097"], ["table", "--max-i", "3", "--format", "xml"],
+    ["dynamics", "1"], ["dynamics", "4097", "1"], ["dynamics", "a", "b"],
+    ["decompose", "-1"], ["decompose", "2049"], ["decompose", "1.5"],
+    ["verify"], ["verify", "--max-i", "-1"], ["verify", "--max-i", "4097"],
+    ["project", "--plane", "ij"], ["project", "--plane", "xy", "--word", "()"],
+    ["project", "--plane", "ijn", "--word", "()"], ["project", "--plane", "ij", "--word", ")("],
+    ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"], ["enumerate", "17"],
+    ["render", "--plane", "ij", "--max-i", "-1"], ["render", "--plane", "ij", "--max-i", "4097"],
+    ["render", "--plane", "ijk", "--max-i", "3"],
+    ["render", "--plane", "ij", "--max-i", "2", "--word", "(())"],
+    ["render", "--plane", "ij", "--max-i", "2", "--isolines", "xyz"],
+    ["render", "--plane", "ij", "--max-i", "2", "--svg", "."],
+    ["catalan", "\u0661\u0662"], ["table", "--max-i", "\uff13"],  # int() reads both as 12 and 3
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_bad_arguments_exit_without_traceback(argv):
+    code, out, err = invoke(*argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 1 else "resource limit: ")
 
 
 # Generated bad vectors: one valid, small command with one fault put in.
@@ -204,12 +394,26 @@ def test_generated_bad_arguments_exit_with_one_line(argv):
 
 
 class TestUsage:
+    def test_unknown_command(self):
+        code, _, err = invoke("frobnicate")
+        assert code == 1
+        assert err
+
+    def test_no_command(self):
+        assert invoke()[0] == 1
+
+    def test_unknown_flag(self):
+        assert invoke("catalan", "6", "--frobnicate")[0] == 1
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "dyck4d" in capsys.readouterr().out
         # With stdout= given, the help goes there and nowhere else.
-        for argv in (["--help"], ["table", "--help"]):
-            invoke(*argv)
+        for argv, usage in ((["--help"], "usage: dyck4d "),
+                            (["table", "--help"], "usage: dyck4d table ")):
+            code, out, err = invoke(*argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(usage)
             assert capsys.readouterr() == ("", "")
 
 

@@ -16,6 +16,20 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("i", ["4097", "99999"])
+def test_dynamics_over_cap_is_a_resource_limit(i):
+    code, out, err = invoke("dynamics", i, "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+def test_dynamics_at_cap():
+    code, out, _ = invoke("dynamics", "4096", "0")
+    assert code == 0
+    assert out == f"{math.comb(4096, 2048) // 2049} (i=4096, j=0, n=2048, k=2048)\n"
+
+
 def test_dynamics_agrees_with_table():
     table = build_table(40)
     for i in range(41):
