@@ -268,18 +268,10 @@ def planarity_equation(plane: Plane) -> str:
     """Human-readable equation of a three-axis plane, e.g. ``'i + j - 2n = 0'``."""
     if not plane.is_spatial:
         raise DomainError(f"planarity applies to three-axis planes, got {plane.name!r}")
-    coeffs = PLANARITY[frozenset(plane.axes)]
-    parts: list[str] = []
-    for axis in AXES:
-        if axis not in coeffs:
-            continue
-        c = coeffs[axis]
-        term = axis if abs(c) == 1 else f"{abs(c)}{axis}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {term}")
-    return " ".join(parts) + " = 0"
+    # Each equation lists its axes in AXES order and leads with a positive coefficient.
+    terms = " ".join(f"{'+' if c > 0 else '-'} {abs(c) if abs(c) != 1 else ''}{axis}"
+                     for axis, c in PLANARITY[frozenset(plane.axes)].items())
+    return terms.removeprefix("+ ") + " = 0"
 
 
 def iter_nodes(max_i: int) -> Iterator[Node]:

@@ -28,7 +28,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 
-from .coords import MAX_COORD, Node, _Value, iter_nodes
+from .coords import MAX_COORD, Node, _Value, is_reachable, iter_nodes
 from .errors import DomainError, NotANode, OutOfRange, ResourceLimit, TableFormatError
 
 # Desk-scale guard against accidental huge builds; callers that really want
@@ -55,15 +55,13 @@ class DynamicsTable(_Value):
         """Path-prefix count at (i, j); zero at unreachable positions."""
         if i > self.max_i:
             raise OutOfRange(f"position {i} exceeds the table bound {self.max_i}")
-        if i < 0 or j < 0 or j > i or (i - j) % 2:
+        if not is_reachable(i, j):
             return 0
         return self._cols[i][(i - j) // 2]
 
     def count_node(self, node: Node) -> int:
-        """Count at a four-coordinate node; equals ``count(node.i, node.j)``."""
-        if node.i > self.max_i:
-            raise OutOfRange(f"position {node.i} exceeds the table bound {self.max_i}")
-        return self._cols[node.i][node.k]
+        """Count at a four-coordinate node."""
+        return self.count(node.i, node.j)
 
     def items(self) -> Iterator[tuple[Node, int]]:
         """All (node, count) pairs, column by column, rising diagonal ascending."""

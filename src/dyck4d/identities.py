@@ -148,10 +148,10 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
             f"inconsistent routes at (i={v}, k={k}): closed form {terms[k]}, "
             f"recurrence {column[k]}"
         )
-    total = sum(t * t for t in terms)
-    expected = catalan(v, cap=cap)
+    dec = Decomposition(v, terms)
+    total, expected = dec.sum_of_squares, catalan(v, cap=cap)
     if total != expected:
         raise DyckError(
             f"squares of column {v} sum to {total}, but catalan({v}) = {expected}"
         )
-    return Decomposition(v, terms)
+    return dec

@@ -11,9 +11,8 @@ prefixes and ends each with the completions of its height, listed per call.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
 
-from .coords import Node, Plane, _Value
+from .coords import _GETTERS, Node, Plane, _Value
 from .errors import DomainError, InvalidCharacter, PrefixViolation, ResourceLimit
 
 # Hard caps, deliberately not configurable: the scanners exist to validate
@@ -21,7 +20,6 @@ from .errors import DomainError, InvalidCharacter, PrefixViolation, ResourceLimi
 ENUMERATION_CAP = 16
 COUNT_SCAN_CAP = 14
 
-_STEP_FOR_PAREN = {"(": "U", ")": "D"}
 _HEIGHT_CHANGE = {"U": 1, "D": -1}
 
 
@@ -73,14 +71,10 @@ class DyckWord(_Value):
 
 def parse_word(text: str) -> DyckWord:
     """Read a word from parenthesis text: '(' is an upstep, ')' a downstep."""
-    steps = []
-    for position, ch in enumerate(text, start=1):
-        if ch not in _STEP_FOR_PAREN:
-            raise InvalidCharacter(
-                f"position {position}: expected '(' or ')', got {ch!r}"
-            )
-        steps.append(_STEP_FOR_PAREN[ch])
-    return DyckWord("".join(steps))
+    bad = len(text) - len(text.lstrip("()"))  # index of the first other character
+    if bad < len(text):
+        raise InvalidCharacter(f"position {bad + 1}: expected '(' or ')', got {text[bad]!r}")
+    return DyckWord(text.replace("(", "U").replace(")", "D"))
 
 
 def format_word(word: DyckWord) -> str:
@@ -170,7 +164,7 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     """
     if plane.is_spatial:
         raise DomainError(f"project_path needs a two-axis plane, got {plane.name!r}")
-    points = tuple(map(attrgetter(*plane.axes), path.nodes))
+    points = tuple(map(_GETTERS[plane.axes], path.nodes))
     moves = []
     for step, before, after in zip(path.word.steps, points, points[1:]):
         delta = (after[0] - before[0], after[1] - before[1])

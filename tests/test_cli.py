@@ -17,11 +17,7 @@ from dyck4d import (CheckResult, build_table, cli, dynamics, identities, table_t
 from dyck4d.cli import run
 from dyck4d.dynamics import TABLE_FORMAT
 
-
-def invoke(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(list(argv), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
+from conftest import invoke
 
 
 # The CLI contract: every case of tests/data/cli_golden.json, exit code, stdout and stderr.
@@ -41,22 +37,6 @@ class TestCatalan:
         code, _, err = invoke("catalan", "99999")
         assert code == 2
         assert "limit" in err.lower()
-
-
-class TestDynamics:
-    @pytest.mark.parametrize("i, j", [("-2", "0"), ("4097", "4098")])
-    def test_unreachable_is_zero_at_any_position(self, i, j):
-        assert invoke("dynamics", i, j) == (0, "0 (unreachable)\n", "")
-
-    def test_negative_coordinates(self):
-        assert invoke("dynamics", "-3", "1")[1] == "0 (unreachable)\n"
-
-    # Past MAX_COORD a reachable (i, j) still has a nonzero count: refused, never "0".
-    @pytest.mark.parametrize("i, j", [("4097", "1"), ("99999", "99999"), ("2147483648", "0"),
-                                      ("1000000000000000000000000000000", "0")])
-    def test_over_cap_names_the_position(self, i, j):
-        assert invoke("dynamics", i, j) == (
-            2, "", f"resource limit: position {i} exceeds the position cap of 4096\n")
 
 
 class TestTable:

@@ -1,5 +1,6 @@
 """The package namespace: every public name, loaded on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -149,3 +150,47 @@ def test_import_loads_a_module_on_first_use():
         "print('dyck4d.verify' in sys.modules, vars(dyck4d)['run_checks'] is run_checks)\n"
     )
     assert out.splitlines() == ["['dyck4d']", "True True"]
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """Names a module binds at its top level by def, class or assignment."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [node.id for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)]
+    return names
+
+
+def test_modules_hold_no_unused_import_or_orphaned_private_name():
+    # An import the module never reads (``from __future__`` aside), or a top-level
+    # ``_private`` name that no module of the package reads, is dead code.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(dyck4d.__file__).parent.glob("*.py"))}
+    read = {name: {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            for name, tree in trees.items()}
+    referenced = set().union(*read.values())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    faults = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read[name]:
+                        faults.append(f"{name}: {bound} is imported and never used")
+        faults += [f"{name}: {private} is read by no module"
+                   for private in _module_level_names(tree)
+                   if private.startswith("_") and not private.startswith("__")
+                   and private not in referenced]
+    assert faults == []

@@ -140,6 +140,40 @@ def test_validation_matches_the_per_character_loop(steps):
     assert outcome(DyckWord, steps) == outcome(reference_validate, steps)
 
 
+def reference_parse(text):
+    """parse_word as it was before it mapped with str.replace: one character at a time."""
+    step_for_paren = {"(": "U", ")": "D"}
+    steps = []
+    for position, ch in enumerate(text, start=1):
+        if ch not in step_for_paren:
+            raise InvalidCharacter(f"position {position}: expected '(' or ')', got {ch!r}")
+        steps.append(step_for_paren[ch])
+    return DyckWord("".join(steps))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Parenthesis text: near-valid words, and text from "()xU " with non-ASCII characters.
+paren_inputs = st.one_of(
+    near_words().map(lambda steps: steps.replace("U", "(").replace("D", ")")),
+    st.text(alphabet="()xU ", max_size=30),
+    st.text(alphabet=st.sampled_from(["(", ")", "x", "U", " ", "é", "\u2014", "\U0001f600",
+                                      "\x00"]), max_size=16),
+    st.text(max_size=12),
+)
+
+
+@given(paren_inputs)
+def test_parse_word_matches_the_per_character_loop(text):
+    # Same word, or the same exception class and message.
+    assert parse_outcome(parse_word, text) == parse_outcome(reference_parse, text)
+
+
 class TestTrace:
     def test_single_arch(self):
         path = trace(parse_word("()"))

@@ -1,19 +1,13 @@
 """Point queries answer by closed form: no count table is ever built."""
 
-import io
 import math
 import tracemalloc
 
 import pytest
 
 from dyck4d import build_table, catalan, cli, decompose_catalan, dynamics, identities
-from dyck4d.cli import run
 
-
-def invoke(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(list(argv), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
+from conftest import invoke
 
 
 @pytest.mark.parametrize("i", ["4097", "99999"])
