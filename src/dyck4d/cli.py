@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain or validation error or output that cannot be
 written, 2 resource limit.  Every deliberate failure, a usage error too, is a
 ``DyckError``: ``run`` catches no bare ``ValueError``.  All numeric output is
-exact decimal, and every count passes the int/str digit check before the first
+exact decimal; a count past the int/str digit limit is refused before the first
 byte.  A closed pipe (``| head``) ends a command quietly; any other write error
 prints one ``error: cannot write output`` line.
 
@@ -20,12 +20,10 @@ from collections.abc import Sequence
 from contextlib import redirect_stdout
 from io import TextIOBase
 
-from .coords import PLANES_2D, Plane, is_reachable, node_from
+from .coords import PLANES_2D, PLANES_3D, Plane, is_reachable, node_from
 from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, catalan, stream_table
 from .errors import DomainError, DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
-
-_CLI_PLANES = tuple(plane.name for plane in PLANES_2D)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +94,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_plane(text: str) -> Plane:
-    name = text.strip().lower()
-    if name not in _CLI_PLANES:
-        raise DomainError(f"unknown plane {text!r}; expected one of {', '.join(_CLI_PLANES)}")
-    return Plane.parse(name)
+def _parse_plane(text: str, planes: tuple[Plane, ...]) -> Plane:
+    names = {plane.name: plane for plane in planes}
+    if (name := text.strip().lower()) not in names:
+        raise DomainError(f"unknown plane {text!r}; expected one of {', '.join(names)}")
+    return names[name]
 
 
 def _cmd_catalan(args, out: TextIOBase) -> int:
@@ -122,7 +120,7 @@ def _cmd_dynamics(args, out: TextIOBase) -> int:
     if not is_reachable(i, j):
         print("0 (unreachable)", file=out)
         return 0
-    node = node_from(Plane.parse("ij"), i, j)
+    node = node_from(PLANES_2D[0], i, j)
     value = square_term(node.i, node.k)
     _check_count_digits(value)
     print(f"{value} (i={node.i}, j={node.j}, n={node.n}, k={node.k})", file=out)
@@ -164,7 +162,7 @@ def _cmd_verify(args, out: TextIOBase) -> int:
 def _cmd_project(args, out: TextIOBase) -> int:
     from .paths import parse_word, project_path, trace
 
-    plane = _parse_plane(args.plane)
+    plane = _parse_plane(args.plane, PLANES_2D)
     projected = project_path(trace(parse_word(args.word)), plane)
     print(f"plane: {plane.name}", file=out)
     x, y = projected.points[0]
@@ -190,7 +188,7 @@ def _cmd_render(args, out: TextIOBase) -> int:
     if args.svg == "":
         raise DomainError("--svg needs a file path, got an empty one")
     spec = DiagramSpec(
-        plane=_parse_plane(args.plane),
+        plane=_parse_plane(args.plane, PLANES_2D + PLANES_3D),
         max_i=args.max_i,
         isolines=frozenset(args.isolines.lower()),
         word=parse_word(args.word) if args.word else None,

@@ -55,16 +55,12 @@ def square_term(i: int, k: int) -> int:
     return binomial(i, k) - binomial(i, k - 1)
 
 
-def square_terms(i: int, *, cap: int = DEFAULT_POSITION_CAP) -> tuple[int, ...]:
+def square_terms(i: int) -> tuple[int, ...]:
     """Every term of column i, ``square_term(i, k)`` for k = 0 .. i // 2, in one pass.
 
     Each binomial comes from the one before, C(i, k) = C(i, k-1) * (i-k+1) // k,
     so no other column is read and the route stays independent of the recurrence.
     """
-    if i < 0:
-        raise DomainError(f"square terms need i >= 0, got {i}")
-    if i > cap:
-        raise ResourceLimit(f"column {i} is beyond the position cap of {cap}")
     terms = [1]
     below = c = 1  # C(i, k-1) and C(i, k)
     for k in range(1, i // 2 + 1):
@@ -141,7 +137,7 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
         )
     for column in _columns(v):  # each replaces the last; column v remains
         pass
-    terms = square_terms(v, cap=cap)
+    terms = square_terms(v)
     if terms != column:
         k = _first_difference(terms, column)
         raise DyckError(

@@ -10,8 +10,7 @@ already placed: grouping them by one coordinate gives each isoline's points.
 from __future__ import annotations
 
 from .coords import Isoline, Node, Plane, _Value, planarity_equation, project
-from .dynamics import (DEFAULT_POSITION_CAP, _check_bound, _check_count_digits, _max_digits,
-                       build_table)
+from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _max_digits, build_table
 from .errors import DomainError, ResourceLimit
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
@@ -94,8 +93,7 @@ def layout(spec: DiagramSpec) -> Diagram:
     A three-axis plane is drawn as its first two axes: every three-axis
     view lies exactly on one plane, so the third axis carries no extra
     information and the diagram records which equation eliminated it.
-    Raises :class:`ResourceLimit` before any table is built past the position
-    cap or ``OUTPUT_BYTE_CAP``, and when a label has too many digits for str().
+    Raises :class:`ResourceLimit` past the position cap or ``OUTPUT_BYTE_CAP``, before any build.
     """
     plane = spec.plane
     note = None
@@ -111,8 +109,8 @@ def layout(spec: DiagramSpec) -> Diagram:
     if (size := _output_bound(spec.max_i)) > OUTPUT_BYTE_CAP:
         raise ResourceLimit(f"a diagram up to max_i = {spec.max_i} may take {size} bytes, "
                             f"beyond the output cap of {OUTPUT_BYTE_CAP}")
+    # The output cap admits max_i <= 431, so labels have <= 130 digits: below any int/str limit.
     table = build_table(spec.max_i)
-    _check_count_digits(max(map(max, table._cols)))
     placed = tuple(
         PlacedNode(node, *project(node, plane), str(value))
         for node, value in table.items()

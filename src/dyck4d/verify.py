@@ -29,7 +29,6 @@ GEOMETRY_SEED = 427531
 GEOMETRY_WORDS = 1000
 POINT_COLUMNS = 128  # see _point_ks; every golden bound lies within it
 
-_IJ = coords.PLANES_2D[0]
 _NK = coords.Plane.parse("nk")
 
 _Outcome = tuple[bool, str]  # passed, detail
@@ -91,7 +90,7 @@ def _check_reachability(bound: int) -> _Outcome:
         for j in range(-2, i + 3):
             checked += 1
             try:
-                coords.node_from(_IJ, i, j)
+                coords.node_from(coords._IJ, i, j)
                 constructible = True
             except NotANode:
                 constructible = False
@@ -300,7 +299,7 @@ def _check_serialization(bound: int) -> _Outcome:
 
 
 def _check_render_determinism(bound: int) -> _Outcome:
-    spec = render.DiagramSpec(plane=_IJ, max_i=min(bound, 8), fmt="svg")
+    spec = render.DiagramSpec(plane=coords._IJ, max_i=min(bound, 8), fmt="svg")
     diagram, table = render.layout(spec), dynamics.build_table(spec.max_i)
     if render.emit(diagram) != render.emit(render.layout(spec)):
         return False, "same spec emitted different bytes"

@@ -7,7 +7,7 @@ wording argparse owns and varies across Python versions, so only its shape is
 pinned: the leading ``usage: `` or ``error: ``, and for stderr the line count.
 
     python tests/cli_golden.py --command dyck4d   # check every case against an installed dyck4d
-    python tests/cli_golden.py --generate         # rewrite the pinned fields from src/
+    python tests/cli_golden.py --generate         # rewrite pins from src/, naming changed cases
 
 The tier-1 test (``tests/test_cli.py``) and ``--generate`` run a case through
 ``cli.run`` in this process, or through ``main`` in a child where it sets ``env``.
@@ -89,12 +89,19 @@ def expected(case: dict) -> dict:
 
 
 def generate() -> None:
-    """Run every case against src/ and rewrite its pinned fields."""
+    """Run every case against src/, rewrite its pinned fields, and print the id of each
+    case whose pinned fields changed, a new case included, then their count."""
     sys.path.insert(0, str(SRC))
-    cases = [{**{k: v for k, v in case.items() if k not in PINNED}, **pins(case, *run_case(case))}
-             for case in load()]
+    cases, changed = [], 0
+    for old in load():
+        case = {**{k: v for k, v in old.items() if k not in PINNED}, **pins(old, *run_case(old))}
+        if any(old.get(field) != case[field] for field in PINNED):
+            changed += 1
+            print(case_id(case))
+        cases.append(case)
     lines = ",\n".join(json.dumps(case, ensure_ascii=False) for case in cases)
     CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")  # one case a line
+    print(f"{changed} of {len(cases)} CLI cases changed")
 
 
 def check(command: str) -> int:

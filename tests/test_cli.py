@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import cli_golden
 import dyck4d
-from dyck4d import (CheckResult, build_table, cli, dynamics, identities, table_to_csv,
-                    table_to_json, verify)
+from dyck4d import (CheckResult, DiagramSpec, Plane, build_table, cli, dynamics, emit,
+                    identities, layout, table_to_csv, table_to_json, verify)
 from dyck4d.cli import run
-from dyck4d.dynamics import TABLE_FORMAT
 
 from conftest import invoke
 
@@ -26,17 +25,16 @@ def test_contract_corpus(case):
     assert cli_golden.pins(case, *cli_golden.run_case(case)) == cli_golden.expected(case)
 
 
-class TestCatalan:
-    def test_exact_decimal_never_scientific(self):
-        code, out, _ = invoke("catalan", "100")
-        assert code == 0
-        assert out.strip().isdigit()
-        assert "e" not in out.lower()
-
-    def test_resource_limit(self):
-        code, _, err = invoke("catalan", "99999")
-        assert code == 2
-        assert "limit" in err.lower()
+def test_generate_names_each_case_whose_pins_changed(tmp_path, monkeypatch, capsys):
+    cases = {cli_golden.case_id(case): case for case in cli_golden.load()}
+    fresh, kept = cases["catalan 6"], cases["catalan 10"]
+    stale = {**fresh, "stdout": "0\n"}
+    monkeypatch.setattr(cli_golden, "CORPUS", tmp_path / "cli_golden.json")
+    monkeypatch.setattr(sys, "path", [*sys.path])  # generate puts src/ first
+    cli_golden.CORPUS.write_text(json.dumps([stale, kept]), encoding="utf-8")
+    cli_golden.generate()
+    assert capsys.readouterr().out == f"{cli_golden.case_id(fresh)}\n1 of 2 CLI cases changed\n"
+    assert cli_golden.load() == [fresh, kept]
 
 
 class TestTable:
@@ -46,23 +44,10 @@ class TestTable:
         assert out.splitlines()[0] == "i,j,n,k,count"
         assert len(out.splitlines()) == 1 + 4
 
-    def test_json(self):
-        code, out, _ = invoke("table", "--max-i", "3", "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["format"] == TABLE_FORMAT
-        assert doc["max_i"] == 3
-        assert all(isinstance(e["count"], str) for e in doc["entries"])
-
     def test_resource_limit(self):
         code, _, err = invoke("table", "--max-i", "99999")
         assert code == 2
         assert "cap" in err
-
-    def test_missing_flag(self):
-        code, _, err = invoke("table")
-        assert code == 1
-        assert "error" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("max_i", [*range(41), 300])
@@ -76,13 +61,6 @@ class TestTable:
         for module in (cli, dynamics):
             monkeypatch.setattr(module, "build_table", refuse, raising=False)
         assert invoke("table", "--max-i", str(max_i), "--format", fmt) == (0, expected, "")
-
-    @pytest.mark.parametrize("max_i, code, err", [
-        ("4097", 2, "resource limit: max_i = 4097 exceeds the position cap of 4096\n"),
-        ("-1", 1, "error: max_i must be nonnegative, got -1\n"),
-    ])
-    def test_refusal_writes_nothing(self, max_i, code, err):
-        assert invoke("table", "--max-i", max_i) == (code, "", err)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
     def test_digit_limit_is_checked_before_output(self):
@@ -217,6 +195,13 @@ class TestRender:
         assert invoke("render", "--plane", "ij", "--max-i", "8", "--svg", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_spatial_plane_svg_is_the_flattened_layout(self, tmp_path):
+        target = tmp_path / "ijn.svg"
+        assert invoke("render", "--plane", "ijn", "--max-i", "3", "--svg", str(target)) == (0, "", "")
+        document = emit(layout(DiagramSpec(Plane.parse("ijn"), 3, fmt="svg")))
+        assert target.read_bytes() == document.encode()
+        assert "<desc>ijn flattened to ij; axis n is determined by " in document
+
     def test_word_overlay(self, tmp_path):
         target = tmp_path / "path.svg"
         code, _, _ = invoke(
@@ -279,7 +264,7 @@ BAD_ARGV = [
     ["project", "--plane", "ijn", "--word", "()"], ["project", "--plane", "ij", "--word", ")("],
     ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"], ["enumerate", "17"],
     ["render", "--plane", "ij", "--max-i", "-1"], ["render", "--plane", "ij", "--max-i", "4097"],
-    ["render", "--plane", "ijk", "--max-i", "3"],
+    ["render", "--plane", "ijnk", "--max-i", "3"],
     ["render", "--plane", "ij", "--max-i", "2", "--word", "(())"],
     ["render", "--plane", "ij", "--max-i", "2", "--isolines", "xyz"],
     ["render", "--plane", "ij", "--max-i", "2", "--svg", "."],
@@ -308,6 +293,7 @@ def _over(cap):
 
 
 _BAD_PLANE = st.sampled_from(["xy", "ji", "ijn", "", "i", "\uff49\uff4a", "ij k"])
+_BAD_RENDER_PLANE = st.sampled_from(["xy", "ji", "ijnk", "", "i", "\uff49\uff4a", "ij k", "kji"])
 _BAD_FORMAT = st.sampled_from(["xml", "CSV", "", "jsonl"])
 _BAD_ISOLINES = st.sampled_from(["xyz", "q", "i,j", "\u00df", "\u0130"])
 _BAD_WORD = st.sampled_from([")(", "(x)", "())", ")", "U", "\u00fc"])  # "((" is a valid prefix
@@ -330,7 +316,7 @@ _COMMANDS = {
     "project": ([("--plane", st.sampled_from(["ij", "NK", " in "]), _BAD_PLANE),
                  ("--word", st.sampled_from(["()", "(())", "(()"]), _BAD_WORD)], []),
     "enumerate": ([(None, st.integers(0, 3), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(16)))], []),
-    "render": ([("--plane", st.sampled_from(["ij", "kj", "IK"]), _BAD_PLANE),
+    "render": ([("--plane", st.sampled_from(["ij", "kj", "IK", "jnk"]), _BAD_RENDER_PLANE),
                 ("--max-i", st.integers(2, 4), st.one_of(_NEGATIVE, _NOT_A_COUNT, _over(4096)))],
                [("--word", st.just("()"), _BAD_WORD),
                 ("--isolines", st.sampled_from(["nk", "IJ"]), _BAD_ISOLINES)]),

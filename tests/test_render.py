@@ -17,11 +17,8 @@ from dyck4d import (
 )
 from dyck4d import render
 from dyck4d.coords import PLANES_2D, PLANES_3D, nodes_on_isoline, project
-from dyck4d.dynamics import DynamicsTable
 from dyck4d.errors import DomainError, ResourceLimit
 from dyck4d.render import HIGHLIGHT_COLOR, ISOLINE_COLORS
-
-from conftest import needs_digit_limit
 
 DATA = Path(__file__).parent / "data"
 
@@ -184,12 +181,13 @@ def test_isolines_match_node_completion(plane):
             assert layout(spec).isolines == _reference_isolines(spec)
 
 
-@needs_digit_limit
-def test_labels_past_digit_limit(monkeypatch):
-    # A label is str() of its count; the check must come before any conversion.
-    monkeypatch.setattr(render, "build_table", lambda max_i: DynamicsTable(0, ((10**5000,),)))
-    with pytest.raises(ResourceLimit):
-        layout(DiagramSpec(plane=IJ, max_i=0))
+def test_output_cap_keeps_labels_below_every_digit_limit():
+    # layout converts labels with str() unchecked: the output cap must refuse every max_i
+    # whose largest count, below 2**max_i, could reach the least int/str limit, 640 digits.
+    max_i = max(m for m in range(DEFAULT_POSITION_CAP + 1)
+                if render._output_bound(m) <= render.OUTPUT_BYTE_CAP)
+    assert max_i == 431
+    assert len(str(1 << max_i)) < 640
 
 
 def test_word_on_every_axis_order():

@@ -104,8 +104,8 @@ def bump_column_term(monkeypatch, i=37, k=5):
     """Make ``identities.square_terms`` one too high at (i, k)."""
     real = identities.square_terms
 
-    def bumped(column, **kwargs):
-        terms = real(column, **kwargs)
+    def bumped(column):
+        terms = real(column)
         return terms[:k] + (terms[k] + 1,) + terms[k + 1:] if column == i else terms
 
     monkeypatch.setattr(identities, "square_terms", bumped)
