@@ -20,8 +20,8 @@ from collections.abc import Sequence
 from contextlib import redirect_stdout
 from io import TextIOBase
 
-from .coords import PLANES_2D, PLANES_3D, Plane, is_reachable, node_from
-from .dynamics import DEFAULT_POSITION_CAP, _check_count_digits, catalan, stream_table
+from .coords import AXES, PLANES_2D, PLANES_3D, Plane, is_reachable, node_from
+from .dynamics import DEFAULT_POSITION_CAP, _FORMATS, _check_count_digits, catalan, stream_table
 from .errors import DomainError, DyckError, ResourceLimit
 from .identities import decompose_catalan, square_term
 
@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="export the count table")
     p.add_argument("--max-i", type=_int, required=True, dest="max_i")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
     p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("dynamics", help="print the count at (I, J) and the full node")
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-i", type=_int, required=True, dest="max_i")
     p.add_argument("--word")
     p.add_argument("--svg", metavar="PATH", help="write SVG here instead of text to stdout")
-    p.add_argument("--isolines", default="ijnk", help="families to draw, e.g. 'nk'")
+    p.add_argument("--isolines", default="".join(AXES), help="families to draw, e.g. 'nk'")
     p.set_defaults(run=_cmd_render)
 
     return parser

@@ -75,7 +75,7 @@ class _Value:
 class Node(_Value):
     """A lattice node in canonical four-coordinate form."""
 
-    __slots__ = ("i", "j", "n", "k")
+    __slots__ = AXES
 
     def __init__(self, i: int, j: int, n: int, k: int):
         # Fast path for valid nodes (n, i >= 0 follow); the loop words rejections.
@@ -173,22 +173,17 @@ def _diag_from_ij(i: int, j: int) -> tuple[int, int]:
 
 
 # Every two-axis pair determines (n, k); the remaining coordinates follow
-# from i = n + k, j = n - k.  Keyed by the plane's ordered axes, each entry
-# takes the plane's coordinates (a, b) in that order.
+# from i = n + k, j = n - k.  One entry per paper plane takes that plane's
+# coordinates (a, b) in its order; each reversed order swaps the arguments.
 _COMPLETIONS = {
     ("i", "j"): _diag_from_ij,
-    ("j", "i"): lambda j, i: _diag_from_ij(i, j),
-    ("i", "n"): lambda i, n: (n, i - n),
-    ("n", "i"): lambda n, i: (n, i - n),
-    ("i", "k"): lambda i, k: (i - k, k),
-    ("k", "i"): lambda k, i: (i - k, k),
-    ("j", "n"): lambda j, n: (n, n - j),
     ("n", "j"): lambda n, j: (n, n - j),
-    ("j", "k"): lambda j, k: (j + k, k),
-    ("k", "j"): lambda k, j: (j + k, k),
     ("n", "k"): lambda n, k: (n, k),
-    ("k", "n"): lambda k, n: (n, k),
+    ("i", "n"): lambda i, n: (n, i - n),
+    ("k", "j"): lambda k, j: (j + k, k),
+    ("i", "k"): lambda i, k: (i - k, k),
 }
+_COMPLETIONS |= {(b, a): (lambda f: lambda y, x: f(x, y))(f) for (a, b), f in _COMPLETIONS.items()}
 
 
 def node_from(plane: Plane, a: int, b: int) -> Node:

@@ -9,7 +9,7 @@ already placed: grouping them by one coordinate gives each isoline's points.
 
 from __future__ import annotations
 
-from .coords import Isoline, Node, Plane, _Value, planarity_equation, project
+from .coords import AXES, Isoline, Node, Plane, _Value, planarity_equation, project
 from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _max_digits, build_table
 from .errors import DomainError, ResourceLimit
 from .paths import DyckWord, ProjectedPath, project_path, trace
@@ -25,7 +25,7 @@ HIGHLIGHT_COLOR = "#ffd700"
 SCALE = 40
 MARGIN = 40
 
-OUTPUT_BYTE_CAP = 1 << 25  # largest document, in bytes, that layout admits by _output_bound
+OUTPUT_BYTE_CAP = 1 << 25  # largest document, in bytes, that a spec admits by _output_bound
 
 
 def _output_bound(max_i: int) -> int:
@@ -37,18 +37,21 @@ def _output_bound(max_i: int) -> int:
 
 
 class DiagramSpec(_Value):
-    """What to draw: a plane, a position bound, and optional decorations."""
+    """What to draw: a plane, a position bound, and optional decorations.  Raises
+    :class:`ResourceLimit` past the position cap or ``OUTPUT_BYTE_CAP``, before any other
+    check, so that ``layout`` can draw every spec."""
 
     __slots__ = ("plane", "max_i", "isolines", "word", "highlights", "fmt")
 
-    def __init__(self, plane: Plane, max_i: int,
-                 isolines: frozenset[str] = frozenset(("i", "j", "n", "k")),
+    def __init__(self, plane: Plane, max_i: int, isolines: frozenset[str] = frozenset(AXES),
                  word: DyckWord | None = None, highlights: tuple[Node, ...] = (),
                  fmt: str = "text"):
         self._set(plane, max_i, isolines, word, highlights, fmt)
-        if self.max_i < 0:
-            raise DomainError(f"max_i must be nonnegative, got {self.max_i}")
-        unknown = set(self.isolines) - set("ijnk")
+        _check_bound(self.max_i, DEFAULT_POSITION_CAP)  # the position cap is reported first
+        if (size := _output_bound(self.max_i)) > OUTPUT_BYTE_CAP:
+            raise ResourceLimit(f"a diagram up to max_i = {self.max_i} may take {size} bytes, "
+                                f"beyond the output cap of {OUTPUT_BYTE_CAP}")
+        unknown = set(self.isolines) - set(AXES)
         if unknown:
             raise DomainError(f"unknown isoline families: {sorted(unknown)}")
         if self.fmt not in ("text", "svg"):
@@ -93,7 +96,6 @@ def layout(spec: DiagramSpec) -> Diagram:
     A three-axis plane is drawn as its first two axes: every three-axis
     view lies exactly on one plane, so the third axis carries no extra
     information and the diagram records which equation eliminated it.
-    Raises :class:`ResourceLimit` past the position cap or ``OUTPUT_BYTE_CAP``, before any build.
     """
     plane = spec.plane
     note = None
@@ -105,11 +107,7 @@ def layout(spec: DiagramSpec) -> Diagram:
         )
         plane = flat
 
-    _check_bound(spec.max_i, DEFAULT_POSITION_CAP)  # the position cap is reported first
-    if (size := _output_bound(spec.max_i)) > OUTPUT_BYTE_CAP:
-        raise ResourceLimit(f"a diagram up to max_i = {spec.max_i} may take {size} bytes, "
-                            f"beyond the output cap of {OUTPUT_BYTE_CAP}")
-    # The output cap admits max_i <= 431, so labels have <= 130 digits: below any int/str limit.
+    # A spec admits max_i <= 431, so labels have <= 130 digits: below any int/str limit.
     table = build_table(spec.max_i)
     placed = tuple(
         PlacedNode(node, *project(node, plane), str(value))
@@ -117,7 +115,7 @@ def layout(spec: DiagramSpec) -> Diagram:
     )
 
     isolines = []
-    for family in "ijnk":
+    for family in AXES:
         if family not in spec.isolines:
             continue
         # Nodes are placed column by column, k ascending, so each group runs

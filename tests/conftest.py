@@ -19,3 +19,11 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def returned_or_raised(call, arg):
+    """What ``call(arg)`` returns, or the type and text of what it raises."""
+    try:
+        return call(arg)
+    except Exception as exc:
+        return type(exc), str(exc)

@@ -20,6 +20,7 @@ from dyck4d import (
     planarity_residual,
     project,
 )
+from dyck4d import coords
 from dyck4d.errors import NotANode
 
 IJ = Plane.parse("ij")
@@ -308,3 +309,12 @@ class TestOrderedPairs:
         with pytest.raises(NotANode) as info:
             node_from(Plane.parse(name), a, b)
         assert str(info.value) == text
+
+
+def test_completions_are_written_for_the_paper_planes_only():
+    # Each reversed order is the same argument-swapping wrapper of a written entry.
+    assert set(coords._COMPLETIONS) == set(itertools.permutations(AXES, 2))
+    swapped = coords._COMPLETIONS[("j", "i")].__code__
+    written = {axes for axes, complete in coords._COMPLETIONS.items()
+               if complete.__code__ is not swapped}
+    assert written == {plane.axes for plane in PLANES_2D}

@@ -19,7 +19,7 @@ from dyck4d import dynamics
 from dyck4d.dynamics import TABLE_FORMAT, DynamicsTable
 from dyck4d.errors import OutOfRange, ResourceLimit, TableFormatError
 
-from conftest import STR_DIGITS, needs_digit_limit
+from conftest import STR_DIGITS, needs_digit_limit, returned_or_raised
 
 
 class TestBuildTable:
@@ -524,14 +524,6 @@ class TestImportFuzz:
         _import_or_reject(parse, _mutate(export(build_table(max_i)), data))
 
 
-def _outcome(parse, text):
-    """The table ``parse`` returns, or the type and text of what it raises."""
-    try:
-        return parse(text)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 @pytest.fixture
 def parsers_refuse(monkeypatch):
     def refuse(text):
@@ -607,7 +599,7 @@ class TestExactBytesRoute:
             variants = _JSON_VARIANTS
         change = variants[data.draw(st.sampled_from(sorted(variants)))]
         text = change(text(build_table(max_i)), data)
-        assert _outcome(parse, text) == _outcome(reference, text)
+        assert returned_or_raised(parse, text) == returned_or_raised(reference, text)
 
     @pytest.mark.parametrize("parse, reference", [
         (table_from_csv, "_parse_csv"), (table_from_json, "_parse_json")])
@@ -616,7 +608,8 @@ class TestExactBytesRoute:
         b"i,j,n,k,count\n0,0,0,0,1\n", table_to_json(build_table(5)).encode(), None, 7])
     def test_short_or_non_text_input(self, parse, reference, text):
         # json.loads takes bytes, so a JSON export as bytes still imports.
-        assert _outcome(parse, text) == _outcome(getattr(dynamics, reference), text)
+        expected = returned_or_raised(getattr(dynamics, reference), text)
+        assert returned_or_raised(parse, text) == expected
 
     def test_hands_over_before_the_digit_limit(self, monkeypatch):
         # Under a limit of 3 digits, counts up to 2**12 could pass it; the writer
@@ -645,11 +638,11 @@ class TestExactBytesRoute:
     def test_claimed_bound_past_the_text_makes_no_column(self, monkeypatch, parse, fmt, text):
         # Each column takes at least one character, so a max_i of at least the
         # text's length cannot be an export: the parser takes it unmatched.
-        reference = _outcome(getattr(dynamics, f"_parse_{fmt}"), text)
+        reference = returned_or_raised(getattr(dynamics, f"_parse_{fmt}"), text)
 
         def refuse(max_i):
             raise AssertionError(f"columns made up to {max_i}")
 
         monkeypatch.setattr(dynamics, "_columns", refuse)
         assert dynamics._exact_table(text, fmt) is None
-        assert _outcome(parse, text) == reference
+        assert returned_or_raised(parse, text) == reference

@@ -29,7 +29,7 @@ from dyck4d import (
 )
 from dyck4d.errors import InvalidCharacter, PrefixViolation, ResourceLimit
 
-from conftest import random_valid_word
+from conftest import random_valid_word, returned_or_raised
 
 NK = Plane.parse("nk")
 NJ = Plane.parse("nj")
@@ -151,13 +151,6 @@ def reference_parse(text):
     return DyckWord("".join(steps))
 
 
-def parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 # Parenthesis text: near-valid words, and text from "()xU " with non-ASCII characters.
 paren_inputs = st.one_of(
     near_words().map(lambda steps: steps.replace("U", "(").replace("D", ")")),
@@ -171,7 +164,7 @@ paren_inputs = st.one_of(
 @given(paren_inputs)
 def test_parse_word_matches_the_per_character_loop(text):
     # Same word, or the same exception class and message.
-    assert parse_outcome(parse_word, text) == parse_outcome(reference_parse, text)
+    assert returned_or_raised(parse_word, text) == returned_or_raised(reference_parse, text)
 
 
 class TestTrace:

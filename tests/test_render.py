@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dyck4d import (
+    AXES,
     DEFAULT_POSITION_CAP,
     DiagramSpec,
     Isoline,
@@ -89,8 +90,21 @@ class TestSpecValidation:
             DiagramSpec(plane=IJ, max_i=2, fmt="png")
 
     def test_negative_bound(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             DiagramSpec(plane=IJ, max_i=-1)
+        assert str(info.value) == "max_i must be nonnegative, got -1"
+
+    def test_output_cap_refuses_the_spec(self, monkeypatch):
+        monkeypatch.setattr(render, "layout", None)  # refused with no layout to call
+        with pytest.raises(ResourceLimit) as info:
+            DiagramSpec(IJ, 432)
+        assert str(info.value) == ("a diagram up to max_i = 432 may take 33564627 bytes, "
+                                   "beyond the output cap of 33554432")
+
+    def test_position_cap_refuses_the_spec(self):
+        with pytest.raises(ResourceLimit) as info:
+            DiagramSpec(IJ, 4097)
+        assert str(info.value) == "max_i = 4097 exceeds the position cap of 4096"
 
 
 class TestEmitText:
@@ -120,6 +134,9 @@ class TestEmitSvg:
     def test_deterministic(self):
         spec = DiagramSpec(plane=IJ, max_i=8, fmt="svg")
         assert emit(layout(spec)) == emit(layout(spec))
+
+    def test_one_color_per_axis(self):
+        assert set(ISOLINE_COLORS) == set(AXES)
 
     def test_isoline_colors(self):
         svg = emit(layout(DiagramSpec(plane=IJ, max_i=6, fmt="svg")))
