@@ -31,8 +31,8 @@ from collections.abc import Iterable, Iterator
 from .coords import MAX_COORD, Node, _Value, is_reachable, iter_nodes
 from .errors import DomainError, NotANode, OutOfRange, ResourceLimit, TableFormatError
 
-# Desk-scale guard against accidental huge builds; callers that really want
-# a bigger table pass a larger cap explicitly.
+# Desk-scale guard against accidental huge builds, fixed as the scan caps are:
+# every count, table, diagram and check stops at this position.
 DEFAULT_POSITION_CAP = 4096
 
 TABLE_FORMAT = "dyck4d-table/1"
@@ -94,28 +94,27 @@ def _columns(max_i: int) -> Iterator[tuple[int, ...]]:
         yield col
 
 
-def build_table(max_i: int, *, cap: int = DEFAULT_POSITION_CAP) -> DynamicsTable:
+def build_table(max_i: int) -> DynamicsTable:
     """Build the count table for every position up to ``max_i``."""
-    _check_bound(max_i, cap)
+    _check_bound(max_i)
     return DynamicsTable(max_i, tuple(_columns(max_i)))
 
 
-def _check_bound(max_i: int, cap: int) -> None:
+def _check_bound(max_i: int) -> None:
     if max_i < 0:
         raise DomainError(f"max_i must be nonnegative, got {max_i}")
-    if max_i > cap:
-        raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {cap}")
+    if max_i > DEFAULT_POSITION_CAP:
+        raise ResourceLimit(f"max_i = {max_i} exceeds the position cap of {DEFAULT_POSITION_CAP}")
 
 
-def catalan(n: int, *, cap: int = DEFAULT_POSITION_CAP) -> int:
+def catalan(n: int) -> int:
     """The n-th Catalan number, C(2n, n) / (n + 1): the count at (2n, 0),
     so the position cap applies to 2n."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if 2 * n > cap:
-        raise ResourceLimit(
-            f"catalan({n}) needs positions up to {2 * n}, beyond the cap of {cap}"
-        )
+    if 2 * n > DEFAULT_POSITION_CAP:
+        raise ResourceLimit(f"catalan({n}) needs positions up to {2 * n}, "
+                            f"beyond the cap of {DEFAULT_POSITION_CAP}")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -183,7 +182,7 @@ def table_to_json(table: DynamicsTable) -> str:
 def stream_table(max_i: int, fmt: str) -> Iterator[str]:
     """The ``fmt`` export of ``build_table(max_i)`` in pieces, holding two columns; the
     bound is checked here, the digit limit (no count passes 2**max_i) before any piece."""
-    _check_bound(max_i, DEFAULT_POSITION_CAP)
+    _check_bound(max_i)
     return _export(_columns(max_i), max_i, fmt, 1 << max_i)
 
 

@@ -18,7 +18,7 @@ class OutOfRange(DyckError):
 
 
 class ResourceLimit(DyckError):
-    """A request exceeds a configured or hard size cap."""
+    """A request exceeds a hard size cap."""
 
 
 class InvalidCharacter(DyckError):

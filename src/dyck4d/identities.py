@@ -118,7 +118,7 @@ class Decomposition(_Value):
         }
 
 
-def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decomposition:
+def decompose_catalan(v: int) -> Decomposition:
     """All squares-decomposition terms of column v, cross-checked two ways.
 
     Terms come from the binomial closed form (:func:`square_terms`); they are
@@ -130,11 +130,9 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
     """
     if v < 0:
         raise DomainError(f"v must be nonnegative, got {v}")
-    if 2 * v > cap:
-        raise ResourceLimit(
-            f"decomposing column {v} needs positions up to {2 * v}, "
-            f"beyond the cap of {cap}"
-        )
+    if 2 * v > DEFAULT_POSITION_CAP:
+        raise ResourceLimit(f"decomposing column {v} needs positions up to {2 * v}, "
+                            f"beyond the cap of {DEFAULT_POSITION_CAP}")
     for column in _columns(v):  # each replaces the last; column v remains
         pass
     terms = square_terms(v)
@@ -145,7 +143,7 @@ def decompose_catalan(v: int, *, cap: int = DEFAULT_POSITION_CAP) -> Decompositi
             f"recurrence {column[k]}"
         )
     dec = Decomposition(v, terms)
-    total, expected = dec.sum_of_squares, catalan(v, cap=cap)
+    total, expected = dec.sum_of_squares, catalan(v)
     if total != expected:
         raise DyckError(
             f"squares of column {v} sum to {total}, but catalan({v}) = {expected}"

@@ -10,7 +10,7 @@ already placed: grouping them by one coordinate gives each isoline's points.
 from __future__ import annotations
 
 from .coords import AXES, Isoline, Node, Plane, _Value, planarity_equation, project
-from .dynamics import DEFAULT_POSITION_CAP, _check_bound, _max_digits, build_table
+from .dynamics import _check_bound, _max_digits, build_table
 from .errors import DomainError, ResourceLimit
 from .paths import DyckWord, ProjectedPath, project_path, trace
 
@@ -47,7 +47,7 @@ class DiagramSpec(_Value):
                  word: DyckWord | None = None, highlights: tuple[Node, ...] = (),
                  fmt: str = "text"):
         self._set(plane, max_i, isolines, word, highlights, fmt)
-        _check_bound(self.max_i, DEFAULT_POSITION_CAP)  # the position cap is reported first
+        _check_bound(self.max_i)  # the position cap is reported first
         if (size := _output_bound(self.max_i)) > OUTPUT_BYTE_CAP:
             raise ResourceLimit(f"a diagram up to max_i = {self.max_i} may take {size} bytes, "
                                 f"beyond the output cap of {OUTPUT_BYTE_CAP}")

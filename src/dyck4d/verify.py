@@ -349,7 +349,7 @@ _CHECKS: dict[str, Callable[[int], _Outcome]] = {
 
 def run_checks(max_i: int = 32) -> list[CheckResult]:
     """Run every invariant check within the given position bound, timing each."""
-    dynamics._check_bound(max_i, dynamics.DEFAULT_POSITION_CAP)
+    dynamics._check_bound(max_i)
     results = []
     for name, check in _CHECKS.items():
         start = time.perf_counter()

@@ -11,8 +11,9 @@ pinned: the leading ``usage: `` or ``error: ``, and for stderr the line count.
 
 The tier-1 test (``tests/test_cli.py``) and ``--generate`` run a case through
 ``cli.run`` in this process, or through ``main`` in a child where it sets ``env``.
-``--command`` runs each case as a child of that executable; an argv that no process
-can receive (one with a NUL) goes to ``python -c`` that calls ``dyck4d.cli.main``.
+``--command`` runs each case as a child of that executable, except an argv that no
+process can receive (one with a NUL): that case runs src/'s dyck4d, through
+``python -c`` under the runner's own interpreter, whatever ``--command`` names.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def case_id(case: dict) -> str:
 
 def run_case(case: dict, command: str | None = None) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one case: from ``cli.run`` in this process, or
-    from a child that runs ``command`` (default: ``main`` of the dyck4d in src/)."""
+    from a child that runs ``command`` (default, and for an argv with a NUL: ``main`` of
+    the dyck4d in src/ under this interpreter)."""
     argv, env = case["argv"], case.get("env")
     if command is None and env is None:
         from dyck4d.cli import run
@@ -55,10 +57,9 @@ def run_case(case: dict, command: str | None = None) -> tuple[int, str, str]:
         return code, out.getvalue(), err.getvalue()
     # The child writes UTF-8, which is how its output is decoded, whatever its locale.
     child_env = {**os.environ, **(env or {}), "PYTHONIOENCODING": "utf-8"}
-    if command is None:
+    if command is None or any("\0" in arg for arg in argv):
         path = [str(SRC), os.environ.get("PYTHONPATH")]
         child_env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    if command is None or any("\0" in arg for arg in argv):
         args = [sys.executable, "-c", _MAIN, json.dumps(argv)]
     else:
         args = [command, *argv]

@@ -54,9 +54,10 @@ class TestBuildTable:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             build_table(4097)
-        with pytest.raises(ResourceLimit):
-            build_table(10, cap=5)
-        assert build_table(10, cap=10).max_i == 10
+        assert dynamics._check_bound(4096) is None
+        with pytest.raises(ResourceLimit) as info:
+            dynamics._check_bound(4097)
+        assert str(info.value) == "max_i = 4097 exceeds the position cap of 4096"
 
     def test_negative_bound(self):
         with pytest.raises(ValueError):

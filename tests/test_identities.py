@@ -172,7 +172,7 @@ class TestDecomposition:
 
     def test_catalan_mismatch_raises(self, monkeypatch):
         real = identities.catalan
-        monkeypatch.setattr(identities, "catalan", lambda v, **kwargs: real(v, **kwargs) + 1)
+        monkeypatch.setattr(identities, "catalan", lambda v: real(v) + 1)
         with pytest.raises(DyckError) as info:
             decompose_catalan(4)
         assert str(info.value) == "squares of column 4 sum to 14, but catalan(4) = 15"
@@ -186,8 +186,10 @@ class TestDecomposition:
             decompose_catalan(-1)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimit):
-            decompose_catalan(10, cap=12)
+        with pytest.raises(ResourceLimit) as info:
+            decompose_catalan(2049)
+        assert str(info.value) == (
+            "decomposing column 2049 needs positions up to 4098, beyond the cap of 4096")
 
     def test_value_type(self):
         dec = Decomposition(2, (1, 1))

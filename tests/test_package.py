@@ -64,6 +64,14 @@ def test_name_resolves_to_its_home_object(home, name):
     assert vars(dyck4d)[name] is value  # bound once; later reads skip the hook
 
 
+# The position cap is fixed, as the scan caps are: no call can raise it.
+@pytest.mark.parametrize("name, arg", [("build_table", 4), ("catalan", 2),
+                                       ("decompose_catalan", 2)])
+def test_the_position_cap_is_not_a_keyword(name, arg):
+    with pytest.raises(TypeError):
+        getattr(dyck4d, name)(arg, cap=dyck4d.DEFAULT_POSITION_CAP)
+
+
 def test_star_import_and_dir_list_every_name():
     namespace = {}
     exec("from dyck4d import *", namespace)
