@@ -190,7 +190,7 @@ def _cmd_render(args, out: TextIOBase) -> int:
     spec = DiagramSpec(
         plane=_parse_plane(args.plane, PLANES_2D + PLANES_3D),
         max_i=args.max_i,
-        isolines=frozenset(args.isolines.lower()),
+        isolines=args.isolines.lower(),
         word=parse_word(args.word) if args.word else None,
         fmt="svg" if args.svg else "text",
     )

@@ -9,6 +9,8 @@ already placed: grouping them by one coordinate gives each isoline's points.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .coords import AXES, Isoline, Node, Plane, _Value, planarity_equation, project
 from .dynamics import _check_bound, _max_digits, build_table
 from .errors import DomainError, ResourceLimit
@@ -18,7 +20,6 @@ from .paths import DyckWord, ProjectedPath, project_path, trace
 ISOLINE_COLORS = {"i": "#008000", "j": "#0000ff", "n": "#b8860b", "k": "#ff0000"}
 
 PATH_COLOR = "#000000"
-HIGHLIGHT_COLOR = "#ffd700"
 
 # One lattice unit is 40 px; the origin sits bottom-left and the y axis is
 # flipped only at emit time.
@@ -37,34 +38,30 @@ def _output_bound(max_i: int) -> int:
 
 
 class DiagramSpec(_Value):
-    """What to draw: a plane, a position bound, and optional decorations.  Raises
+    """What to draw: a plane, a position bound, the isoline families (stored as one string
+    in ``AXES`` order), an optional word's path, and the format.  Raises
     :class:`ResourceLimit` past the position cap or ``OUTPUT_BYTE_CAP``, before any other
     check, so that ``layout`` can draw every spec."""
 
-    __slots__ = ("plane", "max_i", "isolines", "word", "highlights", "fmt")
+    __slots__ = ("plane", "max_i", "isolines", "word", "fmt")
 
-    def __init__(self, plane: Plane, max_i: int, isolines: frozenset[str] = frozenset(AXES),
-                 word: DyckWord | None = None, highlights: tuple[Node, ...] = (),
-                 fmt: str = "text"):
-        self._set(plane, max_i, isolines, word, highlights, fmt)
+    def __init__(self, plane: Plane, max_i: int, isolines: Iterable[str] = "".join(AXES),
+                 word: DyckWord | None = None, fmt: str = "text"):
+        self._set(plane, max_i, isolines, word, fmt)
         _check_bound(self.max_i)  # the position cap is reported first
         if (size := _output_bound(self.max_i)) > OUTPUT_BYTE_CAP:
             raise ResourceLimit(f"a diagram up to max_i = {self.max_i} may take {size} bytes, "
                                 f"beyond the output cap of {OUTPUT_BYTE_CAP}")
-        unknown = set(self.isolines) - set(AXES)
-        if unknown:
+        families = set(isolines)
+        if unknown := families - set(AXES):
             raise DomainError(f"unknown isoline families: {sorted(unknown)}")
+        object.__setattr__(self, "isolines", "".join(f for f in AXES if f in families))
         if self.fmt not in ("text", "svg"):
             raise DomainError(f"format must be 'text' or 'svg', got {self.fmt!r}")
         if self.word is not None and len(self.word) > self.max_i:
             raise DomainError(
                 f"word of {len(self.word)} steps does not fit within max_i = {self.max_i}"
             )
-        for node in self.highlights:
-            if node.i > self.max_i:
-                raise DomainError(
-                    f"highlighted node at position {node.i} exceeds max_i = {self.max_i}"
-                )
 
 
 class PlacedNode(_Value):
@@ -81,13 +78,13 @@ class Diagram(_Value):
     """A laid-out diagram, ready to serialize: ``plane`` is the two-axis plane actually
     drawn, and ``note`` is set when a three-axis plane was flattened."""
 
-    __slots__ = ("spec", "plane", "note", "nodes", "isolines", "path", "highlights")
+    __slots__ = ("spec", "plane", "note", "nodes", "isolines", "path")
 
     def __init__(self, spec: DiagramSpec, plane: Plane, note: str | None,
                  nodes: tuple[PlacedNode, ...],
                  isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...],
-                 path: ProjectedPath | None, highlights: tuple[tuple[int, int], ...]):
-        self._set(spec, plane, note, nodes, isolines, path, highlights)
+                 path: ProjectedPath | None):
+        self._set(spec, plane, note, nodes, isolines, path)
 
 
 def layout(spec: DiagramSpec) -> Diagram:
@@ -115,9 +112,7 @@ def layout(spec: DiagramSpec) -> Diagram:
     )
 
     isolines = []
-    for family in AXES:
-        if family not in spec.isolines:
-            continue
+    for family in spec.isolines:
         # Nodes are placed column by column, k ascending, so each group runs
         # by rising position; read backwards, a column runs by rising j.
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -130,9 +125,7 @@ def layout(spec: DiagramSpec) -> Diagram:
     path = None
     if spec.word is not None:
         path = project_path(trace(spec.word), plane)
-
-    highlights = tuple(project(node, plane) for node in spec.highlights)
-    return Diagram(spec, plane, note, placed, tuple(isolines), path, highlights)
+    return Diagram(spec, plane, note, placed, tuple(isolines), path)
 
 
 def emit(diagram: Diagram) -> str:
@@ -145,7 +138,7 @@ def emit(diagram: Diagram) -> str:
 def emit_text(diagram: Diagram) -> str:
     """Aligned grid of count labels; rows run top to bottom by the y axis.
 
-    Isolines, paths, and highlights are SVG-only decorations.
+    Isolines and the path are drawn only in SVG.
     """
     x_name, y_name = diagram.plane.axes
     labels = {(p.x, p.y): p.label for p in diagram.nodes}
@@ -174,8 +167,7 @@ def emit_text(diagram: Diagram) -> str:
 
 
 def emit_svg(diagram: Diagram) -> str:
-    """SVG 1.1 document with isolines, optional path and highlights, and one
-    labeled dot per node."""
+    """SVG 1.1 document with isolines, the optional path, and one labeled dot per node."""
     x_max = max(p.x for p in diagram.nodes)
     y_max = max(p.y for p in diagram.nodes)
     width = 2 * MARGIN + SCALE * x_max
@@ -207,14 +199,6 @@ def emit_svg(diagram: Diagram) -> str:
             f'points="{path_points}"/>'
         )
     parts.append("</g>")
-
-    if diagram.highlights:
-        parts.append('<g id="highlights">')
-        for x, y in diagram.highlights:
-            parts.append(
-                f'<circle cx="{px(x)}" cy="{py(y)}" r="10" fill="{HIGHLIGHT_COLOR}"/>'
-            )
-        parts.append("</g>")
 
     if diagram.path is not None:
         path_points = " ".join(f"{px(x)},{py(y)}" for x, y in diagram.path.points)

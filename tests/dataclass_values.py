@@ -190,32 +190,29 @@ class ProjectedPath:
 
 @dataclass(frozen=True)
 class DiagramSpec:
-    """What to draw: a plane, a position bound, and optional decorations."""
+    """What to draw: a plane, a position bound, the isoline families, an
+    optional word's path, and the format."""
 
     plane: Plane
     max_i: int
-    isolines: frozenset[str] = frozenset(("i", "j", "n", "k"))
+    isolines: str = "ijnk"  # any iterable of families, stored as one string in AXES order
     word: DyckWord | None = None
-    highlights: tuple[Node, ...] = ()
     fmt: str = "text"
 
     def __post_init__(self):
         if self.max_i < 0:
             raise DomainError(f"max_i must be nonnegative, got {self.max_i}")
-        unknown = set(self.isolines) - set("ijnk")
+        families = set(self.isolines)
+        unknown = families - set("ijnk")
         if unknown:
             raise DomainError(f"unknown isoline families: {sorted(unknown)}")
+        object.__setattr__(self, "isolines", "".join(f for f in "ijnk" if f in families))
         if self.fmt not in ("text", "svg"):
             raise DomainError(f"format must be 'text' or 'svg', got {self.fmt!r}")
         if self.word is not None and len(self.word) > self.max_i:
             raise DomainError(
                 f"word of {len(self.word)} steps does not fit within max_i = {self.max_i}"
             )
-        for node in self.highlights:
-            if node.i > self.max_i:
-                raise DomainError(
-                    f"highlighted node at position {node.i} exceeds max_i = {self.max_i}"
-                )
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ class Diagram:
     nodes: tuple[PlacedNode, ...]
     isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...]
     path: ProjectedPath | None
-    highlights: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)

@@ -225,12 +225,8 @@ BAD_ARGV = [
     ["verify"], ["verify", "--max-i", "-1"], ["verify", "--max-i", "4097"],
     ["project", "--plane", "ij"], ["project", "--plane", "xy", "--word", "()"],
     ["project", "--plane", "ijn", "--word", "()"], ["project", "--plane", "ij", "--word", ")("],
-    ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"], ["enumerate", "17"],
-    ["render", "--plane", "ij", "--max-i", "-1"], ["render", "--plane", "ij", "--max-i", "4097"],
+    ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"],
     ["render", "--plane", "ijnk", "--max-i", "3"],
-    ["render", "--plane", "ij", "--max-i", "2", "--word", "(())"],
-    ["render", "--plane", "ij", "--max-i", "2", "--isolines", "xyz"],
-    ["render", "--plane", "ij", "--max-i", "2", "--svg", "."],
     ["catalan", "\u0661\u0662"], ["table", "--max-i", "\uff13"],  # int() reads both as 12 and 3
 ]
 

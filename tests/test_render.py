@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,7 +12,6 @@ from dyck4d import (
     DEFAULT_POSITION_CAP,
     DiagramSpec,
     Isoline,
-    Node,
     Plane,
     build_table,
     emit,
@@ -19,7 +21,7 @@ from dyck4d import (
 from dyck4d import render
 from dyck4d.coords import PLANES_2D, PLANES_3D, nodes_on_isoline, project
 from dyck4d.errors import DomainError, ResourceLimit
-from dyck4d.render import HIGHLIGHT_COLOR, ISOLINE_COLORS
+from dyck4d.render import ISOLINE_COLORS
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,10 +79,6 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             DiagramSpec(plane=IJ, max_i=2, word=parse_word("(())"))
 
-    def test_highlight_must_fit(self):
-        with pytest.raises(DomainError):
-            DiagramSpec(plane=IJ, max_i=2, highlights=(Node(4, 0, 2, 2),))
-
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             DiagramSpec(plane=IJ, max_i=2, isolines=frozenset("xz"))
@@ -105,6 +103,23 @@ class TestSpecValidation:
         with pytest.raises(ResourceLimit) as info:
             DiagramSpec(IJ, 4097)
         assert str(info.value) == "max_i = 4097 exceeds the position cap of 4096"
+
+    def test_highlights_are_not_a_field(self):
+        with pytest.raises(TypeError):
+            DiagramSpec(IJ, 4, highlights=())
+
+    @pytest.mark.parametrize("size", range(len(AXES) + 1))
+    def test_isolines_are_stored_in_axes_order(self, size):
+        for subset in itertools.combinations(AXES, size):  # each subset, in AXES order
+            canonical = "".join(subset)
+            specs = [DiagramSpec(IJ, 4, isolines=given)
+                     for given in (frozenset(subset), subset[::-1], canonical)]
+            assert [spec.isolines for spec in specs] == [canonical] * 3
+            assert specs[0] == specs[1] == specs[2]
+            for spec in specs:
+                for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec),
+                             copy.deepcopy(spec)):
+                    assert twin == spec and repr(twin) == repr(spec)
 
 
 class TestEmitText:
@@ -149,17 +164,9 @@ class TestEmitSvg:
         table = build_table(8)
         assert labels == sorted(value for _, value in table.items())
 
-    def test_path_and_highlights_present(self):
-        spec = DiagramSpec(
-            plane=IJ,
-            max_i=4,
-            word=parse_word("(())"),
-            highlights=(Node(2, 2, 2, 0),),
-            fmt="svg",
-        )
-        svg = emit(layout(spec))
-        assert '<g id="path">' in svg
-        assert f'fill="{HIGHLIGHT_COLOR}"' in svg
+    def test_path_present(self):
+        spec = DiagramSpec(plane=IJ, max_i=4, word=parse_word("(())"), fmt="svg")
+        assert '<g id="path">' in emit(layout(spec))
 
     def test_flattened_plane_notes_eliminated_axis(self):
         svg = emit(layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4, fmt="svg")))

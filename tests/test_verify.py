@@ -177,7 +177,7 @@ def _kj_nodes(edit):
             if spec.plane.name != "kj":
                 return diagram
             return render.Diagram(diagram.spec, diagram.plane, diagram.note, edit(diagram.nodes),
-                                  diagram.isolines, diagram.path, diagram.highlights)
+                                  diagram.isolines, diagram.path)
         return layout
     return fault
 
