@@ -76,12 +76,9 @@ _EXPORTS = {
         "count_paths_to",
         "enumerate_words",
         "format_word",
-        "format_words",
         "parse_word",
-        "parse_words",
         "project_path",
         "trace",
-        "trace_to_csv",
     ),
     "render": ("Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"),
     "verify": ("CheckResult", "run_checks"),

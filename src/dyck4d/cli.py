@@ -1,8 +1,9 @@
 """Command-line front end: every library capability behind one executable.
 
 Exit codes: 0 success, 1 domain or validation error or output that cannot be
-written, 2 resource limit.  Every deliberate failure, a usage error too, is a
-``DyckError``: ``run`` catches no bare ``ValueError``.  All numeric output is
+written, 2 resource limit, 130 interrupted by Ctrl-C (which prints nothing more).
+Every deliberate failure, a usage error too, is a ``DyckError``: ``run`` catches
+no bare ``ValueError``.  All numeric output is
 exact decimal; a count past the int/str digit limit is refused before the first
 byte.  A closed pipe (``| head``) ends a command quietly; any other write error
 prints one ``error: cannot write output`` line.
@@ -174,10 +175,9 @@ def _cmd_project(args, out: TextIOBase) -> int:
 
 
 def _cmd_enumerate(args, out: TextIOBase) -> int:
-    from .paths import enumerate_words, format_word
+    from .paths import _word_blocks
 
-    for word in enumerate_words(args.m):
-        print(format_word(word), file=out)
+    out.writelines(_word_blocks(args.m))
     return 0
 
 
@@ -221,6 +221,8 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
         return code
     except BrokenPipeError:  # the reader went away, e.g. `| head`: nothing to report
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: the user knows, so nothing more to say
+        return 130
     except OSError as exc:  # the commands open no file but --svg, which reports its own
         print(f"error: cannot write output: {exc.strerror or exc}", file=err)
         return 1

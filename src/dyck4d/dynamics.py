@@ -253,6 +253,8 @@ def _exact_table(text: str, fmt: str) -> DynamicsTable | None:
     at the first that differs or where the writer refuses: the parser words both."""
     if not isinstance(text, str):  # e.g. bytes, which json.loads takes too
         return None
+    if not text.endswith(_FORMATS[fmt][3]):  # every export ends with its format's tail
+        return None
     at = (len(_FORMATS["json"][0].partition("{}")[0].format()) if fmt == "json"
           else text.rfind("\n", 0, len(text) - 1) + 1)  # where max_i's digits start
     # A dozen characters at most: int() of thousands of digits would fail.

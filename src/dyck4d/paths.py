@@ -3,14 +3,18 @@
 The enumeration and counting functions here are deliberately naive: they
 scan raw step sequences and keep the ones whose every prefix stays at or
 above ground level.  They share no logic with the recurrence tables they
-exist to cross-check.  The counter scans a column once and tallies every
-final height in that one pass; enumeration walks an explicit stack of
-prefixes and ends each with the completions of its height, listed per call.
+exist to cross-check.  The counter still visits every one of the 2**i raw
+sequences, once each, tallying every final height in that one pass; it reads
+each sequence seven steps at a time from a fixed table of 7-step chunks.
+Enumeration walks an explicit stack of prefixes and yields text blocks: each
+prefix followed by every completion of its height, one parenthesis line per
+word, with the completions formatted once per call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from itertools import chain
 
 from .coords import _GETTERS, Node, Plane, _Value
 from .errors import DomainError, InvalidCharacter, PrefixViolation, ResourceLimit
@@ -82,16 +86,6 @@ def format_word(word: DyckWord) -> str:
     return word.steps.replace("U", "(").replace("D", ")")
 
 
-def parse_words(text: str) -> list[DyckWord]:
-    """Parse words from text, one parenthesis string per line (blanks skipped)."""
-    return [parse_word(line.strip()) for line in text.splitlines() if line.strip()]
-
-
-def format_words(words: Iterable[DyckWord]) -> str:
-    """Parenthesis text, one word per line."""
-    return "".join(format_word(word) + "\n" for word in words)
-
-
 class PathTrace(_Value):
     """Node-by-node positions of a word, starting from the origin."""
 
@@ -139,9 +133,12 @@ class PathMove(_Value):
     __slots__ = ("step", "delta", "kind")
 
     def __init__(self, step: str, delta: tuple[int, int], kind: str):
-        object.__setattr__(self, "step", step)  # one per move: no _set call
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "kind", kind)
+        self._set(step, delta, kind)
+
+
+# Every move a projection can make, one shared instance per (step, delta).
+_MOVES = {(step, delta): PathMove(step, delta, kind)
+          for step in "UD" for delta, kind in _MOVE_KINDS.items()}
 
 
 class ProjectedPath(_Value):
@@ -165,15 +162,21 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     if plane.is_spatial:
         raise DomainError(f"project_path needs a two-axis plane, got {plane.name!r}")
     points = tuple(map(_GETTERS[plane.axes], path.nodes))
-    moves = []
-    for step, before, after in zip(path.word.steps, points, points[1:]):
-        delta = (after[0] - before[0], after[1] - before[1])
-        moves.append(PathMove(step, delta, _MOVE_KINDS[delta]))
-    return ProjectedPath(plane, points, tuple(moves))
+    moves = tuple([_MOVES[step, (x1 - x0, y1 - y0)]
+                   for step, (x0, y0), (x1, y1) in zip(path.word.steps, points, points[1:])])
+    return ProjectedPath(plane, points, moves)
 
 
 def enumerate_words(m: int) -> Iterator[DyckWord]:
     """All complete words of semilength m, lexicographic with U before D."""
+    blocks, to_steps = _word_blocks(m), str.maketrans("()", "UD")
+    return map(DyckWord, chain.from_iterable(block.translate(to_steps).splitlines()
+                                             for block in blocks))
+
+
+def _word_blocks(m: int) -> Iterator[str]:
+    """The parenthesis text of :func:`enumerate_words`, one line per word, in blocks of
+    whole lines; the semilength is refused here, before the first block."""
     if m < 0:
         raise DomainError(f"semilength must be nonnegative, got {m}")
     if m > ENUMERATION_CAP:
@@ -188,20 +191,20 @@ _TAIL = 12  # completions of 12 steps, from every height: 924 strings
 
 def _completions(length: int) -> dict[int, list[str]]:
     """For each height h, every way to take ``length`` more steps from height h to
-    height 0 without going below it, in lexicographic order."""
+    height 0 without going below it, as parenthesis text in lexicographic order."""
     finish = {0: [""]}
     for r in range(1, length + 1):
         finish = {
-            h: ["U" + s for s in finish.get(h + 1, ())] + ["D" + s for s in finish.get(h - 1, ())]
+            h: ["(" + s for s in finish.get(h + 1, ())] + [")" + s for s in finish.get(h - 1, ())]
             for h in range(r % 2, r + 1, 2)
         }
     return finish
 
 
-def _generate(m: int) -> Iterator[DyckWord]:
-    # Depth-first over (prefix, ups, downs); D is pushed before U so that the U branch
-    # pops first and words come out in lexicographic order.  A prefix with _TAIL steps
-    # left is followed by each completion of its height in turn.
+def _generate(m: int) -> Iterator[str]:
+    # Depth-first over (prefix, ups, downs); ")" is pushed before "(" so that the "("
+    # branch pops first and words come out in lexicographic order.  A prefix with _TAIL
+    # steps left yields one block: the prefix joined with each completion of its height.
     length = 2 * m
     tail = min(length, _TAIL)
     finish = _completions(tail)
@@ -209,13 +212,26 @@ def _generate(m: int) -> Iterator[DyckWord]:
     while stack:
         steps, ups, downs = stack.pop()
         if ups + downs == length - tail:
-            for rest in finish[ups - downs]:
-                yield DyckWord(steps + rest)
+            yield steps + ("\n" + steps).join(finish[ups - downs]) + "\n"
             continue
         if downs < ups:
-            stack.append((steps + "D", ups, downs + 1))
+            stack.append((steps + ")", ups, downs + 1))
         if ups < m:
-            stack.append((steps + "U", ups + 1, downs))
+            stack.append((steps + "(", ups + 1, downs))
+
+
+def _chunk(bits: int) -> tuple[int, int]:
+    """(net height, lowest prefix height) of 7 steps; bit b set means step b is an upstep."""
+    height = low = 0
+    for b in range(7):
+        height += 1 if (bits >> b) & 1 else -1
+        low = min(low, height)
+    return height, low
+
+
+# Entry c describes chunk c.  The last 2**w entries are the w-step chunks, each padded
+# with 7 - w upsteps past its end: they add 7 - w to its net height and lower no prefix.
+_CHUNKS = tuple(map(_chunk, range(128)))
 
 
 def count_paths_by_height(i: int) -> tuple[int, ...]:
@@ -223,22 +239,21 @@ def count_paths_by_height(i: int) -> tuple[int, ...]:
     scan of all 2**i raw sequences filtered on the prefix condition.
 
     This is the independent oracle: no recurrence, no tables, no closed
-    forms.  Bit b of the scan mask set means step b is an upstep.
+    forms.  Bit b of a sequence set means step b is an upstep; steps 0-6
+    and steps 7-13 are each read as one entry of the chunk table.
     """
     if i < 0:
         raise DomainError(f"position must be nonnegative, got {i}")
     if i > COUNT_SCAN_CAP:
         raise ResourceLimit(f"position {i} exceeds the scan cap of {COUNT_SCAN_CAP}")
-    counts = [0] * (i + 1)
-    for mask in range(1 << i):
-        height = 0
-        for bit in range(i):
-            height += 1 if (mask >> bit) & 1 else -1
-            if height < 0:
-                break
-        else:
-            counts[height] += 1
-    return tuple(counts)
+    # Two chunks cover the scan cap; padded, the final height reads 14 - i too high.
+    lows = _CHUNKS[-(1 << min(i, 7)):]
+    counts = [0] * 15
+    for high_net, high_low in _CHUNKS[-(1 << max(i - 7, 0)):]:
+        for low_net, low_low in lows:
+            if low_low >= 0 and low_net + high_low >= 0:
+                counts[low_net + high_net] += 1
+    return tuple(counts[14 - i:])
 
 
 def count_paths_to(i: int, j: int) -> int:
@@ -246,9 +261,3 @@ def count_paths_to(i: int, j: int) -> int:
     of :func:`count_paths_by_height`, zero for j outside 0..i."""
     counts = count_paths_by_height(i)
     return counts[j] if 0 <= j <= i else 0
-
-
-def trace_to_csv(path: PathTrace) -> str:
-    """CSV rows (step, i, j, n, k), one per visited node; step 0 is the origin."""
-    rows = ((index, node.i, node.j, node.n, node.k) for index, node in enumerate(path.nodes))
-    return "step,i,j,n,k\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)

@@ -272,13 +272,23 @@ def _check_path_geometry(bound: int) -> _Outcome:
 
 
 def _check_enumeration(bound: int) -> _Outcome:
+    # The text the enumerate command prints, read without building a DyckWord per line.
     limit = min(bound // 2, 10)
     for m, cat in enumerate(_catalans(limit)):
-        words = list(paths.enumerate_words(m))
-        if len(words) != cat:
-            return False, f"{len(words)} words of semilength {m}, expected catalan({m})"
-        parens = [paths.format_word(w) for w in words]
-        if parens != sorted(parens) or len(set(parens)) != len(parens):
+        text = "".join(paths._word_blocks(m))
+        lines = text.splitlines()
+        if len(lines) != cat:
+            return False, f"{len(lines)} words of semilength {m}, expected catalan({m})"
+        if set(map(len, lines)) != {2 * m}:
+            return False, f"a line of semilength {m} is not {2 * m} steps long"
+        # A line of 2m parentheses is a complete word iff m rounds of deleting every
+        # innermost "()" empty it.
+        rest = text
+        for _ in range(m):
+            rest = rest.replace("()", "")
+        if rest != "\n" * cat:
+            return False, f"a line of semilength {m} is not a complete word"
+        if lines != sorted(lines) or len(set(lines)) != len(lines):
             return False, f"order or distinctness broken at m = {m}"
     return True, f"m <= {limit}"
 

@@ -7,6 +7,7 @@ wording argparse owns and varies across Python versions, so only its shape is
 pinned: the leading ``usage: `` or ``error: ``, and for stderr the line count.
 
     python tests/cli_golden.py --command dyck4d   # check every case against an installed dyck4d
+    python tests/cli_golden.py --python PATH      # ... against src/ under another interpreter
     python tests/cli_golden.py --generate         # rewrite pins from src/, naming changed cases
 
 The tier-1 test (``tests/test_cli.py``) and ``--generate`` run a case through
@@ -14,6 +15,8 @@ The tier-1 test (``tests/test_cli.py``) and ``--generate`` run a case through
 ``--command`` runs each case as a child of that executable, except an argv that no
 process can receive (one with a NUL): that case runs src/'s dyck4d, through
 ``python -c`` under the runner's own interpreter, whatever ``--command`` names.
+``--python`` runs every case, that one too, as src/'s dyck4d through ``python -c``
+under the interpreter it names.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ def case_id(case: dict) -> str:
     return shlex.join(env + case["argv"]) or "(none)"
 
 
-def run_case(case: dict, command: str | None = None) -> tuple[int, str, str]:
+def run_case(case: dict, command: str | None = None,
+             python: str | None = None) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one case: from ``cli.run`` in this process, or
     from a child that runs ``command`` (default, and for an argv with a NUL: ``main`` of
-    the dyck4d in src/ under this interpreter)."""
+    the dyck4d in src/ under ``python``, else this interpreter)."""
     argv, env = case["argv"], case.get("env")
-    if command is None and env is None:
+    if command is None and python is None and env is None:
         from dyck4d.cli import run
 
         out, err = io.StringIO(), io.StringIO()
@@ -60,7 +64,7 @@ def run_case(case: dict, command: str | None = None) -> tuple[int, str, str]:
     if command is None or any("\0" in arg for arg in argv):
         path = [str(SRC), os.environ.get("PYTHONPATH")]
         child_env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-        args = [sys.executable, "-c", _MAIN, json.dumps(argv)]
+        args = [python or sys.executable, "-c", _MAIN, json.dumps(argv)]
     else:
         args = [command, *argv]
     proc = subprocess.run(args, capture_output=True, env=child_env, timeout=120)
@@ -105,13 +109,13 @@ def generate() -> None:
     print(f"{changed} of {len(cases)} CLI cases changed")
 
 
-def check(command: str) -> int:
-    """Run every case as ``command`` and print each one whose pinned fields differ;
-    1 if any does."""
+def check(command: str | None, python: str | None = None) -> int:
+    """Run every case as ``command``, or as src/'s dyck4d under ``python``, and print
+    each one whose pinned fields differ; 1 if any does."""
     cases = load()
     failed = 0
     for case in cases:
-        got = pins(case, *run_case(case, command))
+        got = pins(case, *run_case(case, command, python))
         if got != expected(case):
             failed += 1
             print(f"FAIL {case_id(case)}\n  expected {expected(case)}\n  got      {got}")
@@ -123,9 +127,11 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--command", help="check each case run as this executable, e.g. dyck4d")
+    mode.add_argument("--python", help="check each case run as src/'s dyck4d under this "
+                      "interpreter, e.g. python3.12")
     mode.add_argument("--generate", action="store_true", help="rewrite the pinned fields")
     options = parser.parse_args()
     if options.generate:
         generate()
     else:
-        sys.exit(check(options.command))
+        sys.exit(check(options.command, options.python))

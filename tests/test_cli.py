@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -360,6 +361,18 @@ class TestOutputErrors:
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""  # no traceback, no "Exception ignored" at exit
         proc.stderr.close()
+
+    def test_ctrl_c_exits_130_without_a_traceback(self):
+        # As Ctrl-C on `dyck4d enumerate 16`, once its first line has been read.
+        code = "import sys; from dyck4d.cli import main; sys.argv[1:] = ['enumerate', '16']; main()"
+        src = str(Path(dyck4d.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"(" * 16 + b")" * 16 + b"\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)  # the lines written before it stopped
+        assert proc.returncode == 130
+        assert err == b""
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("argv", [["enumerate", "3"], ["table", "--max-i", "3"], ["catalan", "3"]])

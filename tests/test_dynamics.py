@@ -630,6 +630,19 @@ class TestExactBytesRoute:
         assert formatted == []
         assert table_from_csv(text) == build_table(12)
 
+    @pytest.mark.parametrize("parse, export", [
+        (table_from_csv, table_to_csv), (table_from_json, table_to_json)])
+    def test_a_text_without_the_final_newline_replays_no_column(self, monkeypatch, parse, export):
+        # No export lacks its format's tail, so the parser takes the text unmatched.
+        table = build_table(40)
+        text = export(table)[:-1]
+
+        def refuse(max_i):
+            raise AssertionError(f"columns made up to {max_i}")
+
+        monkeypatch.setattr(dynamics, "_columns", refuse)
+        assert parse(text) == table
+
     @pytest.mark.parametrize("parse, fmt, text", [
         (table_from_json, "json", table_to_json(build_table(2)).replace(
             '"max_i": 2,', '"max_i": 999999999999,', 1)),

@@ -35,8 +35,7 @@ PUBLIC = {
     "paths": [
         "COUNT_SCAN_CAP", "ENUMERATION_CAP", "DyckWord", "PathMove", "PathTrace",
         "ProjectedPath", "count_paths_by_height", "count_paths_to", "enumerate_words",
-        "format_word", "format_words", "parse_word", "parse_words", "project_path", "trace",
-        "trace_to_csv",
+        "format_word", "parse_word", "project_path", "trace",
     ],
     "render": ["Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"],
     "verify": ["CheckResult", "run_checks"],

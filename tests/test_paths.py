@@ -1,6 +1,4 @@
-import csv
 import functools
-import io
 import itertools
 import math
 import random
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dyck4d
-from dyck4d import dynamics
+from dyck4d import dynamics, paths
 from dyck4d import (
     DyckWord,
     Node,
@@ -20,12 +18,9 @@ from dyck4d import (
     count_paths_to,
     enumerate_words,
     format_word,
-    format_words,
     parse_word,
-    parse_words,
     project_path,
     trace,
-    trace_to_csv,
 )
 from dyck4d.errors import InvalidCharacter, PrefixViolation, ResourceLimit
 
@@ -80,12 +75,6 @@ class TestParsing:
     def test_format_round_trip(self):
         for text in ("", "()", "(())()", "((("):
             assert format_word(parse_word(text)) == text
-
-    def test_words_io(self):
-        text = "()\n(())\n\n()()\n"
-        words = parse_words(text)
-        assert [format_word(w) for w in words] == ["()", "(())", "()()"]
-        assert format_words(words) == "()\n(())\n()()\n"
 
 
 def reference_validate(steps):
@@ -190,26 +179,6 @@ class TestTrace:
             else:
                 assert after.n == before.n
                 assert (after.i, after.j, after.k) == (before.i + 1, before.j - 1, before.k + 1)
-
-    def test_csv_export(self):
-        text = trace_to_csv(trace(parse_word("()")))
-        assert text.splitlines() == [
-            "step,i,j,n,k",
-            "0,0,0,0,0",
-            "1,1,1,1,0",
-            "2,2,0,1,1",
-        ]
-
-
-@given(st.integers(0, 2**16), st.integers(0, 40))
-def test_trace_csv_matches_the_stdlib_writer(seed, semilength):
-    path = trace(random_valid_word(random.Random(seed), semilength))
-    reference = io.StringIO()
-    writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(["step", "i", "j", "n", "k"])
-    writer.writerows([index, node.i, node.j, node.n, node.k]
-                     for index, node in enumerate(path.nodes))
-    assert trace_to_csv(path) == reference.getvalue()
 
 
 class TestFigurePathSegments:
@@ -324,19 +293,21 @@ class TestBruteForceCounter:
             count_paths_to(-1, 0)
 
 
-def _naive_count(i: int, j: int) -> int:
-    """One full scan per (i, j), as the counter worked before it tallied by height."""
-    return sum(
-        1
-        for steps in itertools.product((1, -1), repeat=i)
-        if min(itertools.accumulate(steps, initial=0)) >= 0 and sum(steps) == j
-    )
+def _naive_counts(i: int) -> tuple[int, ...]:
+    """One step at a time over every raw sequence, as the counter worked before it
+    read the steps in chunks, tallied by final height 0..i."""
+    counts = [0] * (i + 1)
+    for steps in itertools.product((1, -1), repeat=i):
+        if min(itertools.accumulate(steps, initial=0)) >= 0:
+            counts[sum(steps)] += 1
+    return tuple(counts)
 
 
 class TestHeightScan:
-    @pytest.mark.parametrize("i", range(13))
+    # Up to the cap: only at 14 is the second 7-step chunk full.
+    @pytest.mark.parametrize("i", range(15))
     def test_matches_naive_scan(self, i):
-        assert count_paths_by_height(i) == tuple(_naive_count(i, j) for j in range(i + 1))
+        assert count_paths_by_height(i) == _naive_counts(i)
 
     @pytest.mark.parametrize(
         "i, j, expected",
@@ -363,6 +334,13 @@ class TestHeightScan:
         monkeypatch.setattr(dyck4d, "build_table", refuse)
         # Every valid prefix of length 12 ends at some height: C(12, 6) of them.
         assert sum(count_paths_by_height(12)) == math.comb(12, 6)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_block_text_is_the_formatted_words(m):
+    # The text the enumerate command writes, one parenthesis line per word.
+    blocks = paths._word_blocks(m)
+    assert "".join(blocks) == "".join(format_word(word) + "\n" for word in enumerate_words(m))
 
 
 @pytest.mark.parametrize("m", range(8))

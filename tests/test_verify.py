@@ -204,6 +204,18 @@ def _drifting_trace(axis):
     return fault
 
 
+def _edited_lines(at_m, edit):
+    """A fault for ``paths._generate``: the lines of semilength ``at_m`` go through
+    ``edit``, then come out as one block."""
+    def fault(real):
+        def generate(m):
+            if m != at_m:
+                return real(m)
+            return iter(["".join(line + "\n" for line in edit("".join(real(m)).splitlines()))])
+        return generate
+    return fault
+
+
 # (check, patched owner, attribute, replacement made from the real one, the check's detail)
 _FAULTS = [
     ("column-tops", dynamics, "_columns", _bumped_columns(3, (0,)), "count(3, 3) != 1"),
@@ -232,11 +244,16 @@ _FAULTS = [
      "nk projection crossed the diagonal: UD"),
     ("path-geometry", paths, "trace", _drifting_trace("k"), "upstep changed k in UD"),
     ("path-geometry", paths, "trace", _drifting_trace("n"), "downstep changed n in UD"),
-    ("enumeration-count", paths, "enumerate_words",
-     lambda real: lambda m: list(real(m))[:-1] if m == 3 else real(m),
+    ("enumeration-count", paths, "_generate", _edited_lines(3, lambda lines: lines[:-1]),
      "4 words of semilength 3, expected catalan(3)"),
-    ("enumeration-count", paths, "enumerate_words", lambda real: lambda m: list(real(m))[::-1],
+    ("enumeration-count", paths, "_generate", _edited_lines(2, lambda lines: lines[::-1]),
      "order or distinctness broken at m = 2"),
+    # The last word of semilength 3, ()()(), made unbalanced, then balanced but short.
+    ("enumeration-count", paths, "_generate",
+     _edited_lines(3, lambda lines: [*lines[:-1], "()()(("]),
+     "a line of semilength 3 is not a complete word"),
+    ("enumeration-count", paths, "_generate", _edited_lines(3, lambda lines: [*lines[:-1], "()()"]),
+     "a line of semilength 3 is not 6 steps long"),
     ("table-serialization", dynamics, "_parse_csv", lambda real: lambda text: dynamics.build_table(0),
      "CSV round-trip changed the table"),
     ("table-serialization", dynamics, "_parse_json", lambda real: lambda text: dynamics.build_table(0),
