@@ -28,10 +28,8 @@ _EXPORTS = {
         "Node",
         "Plane",
         "is_reachable",
-        "isolines_through",
         "iter_nodes",
         "node_from",
-        "nodes_on_isoline",
         "planarity_equation",
         "planarity_residual",
         "project",
@@ -80,7 +78,7 @@ _EXPORTS = {
         "project_path",
         "trace",
     ),
-    "render": ("Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"),
+    "render": ("Diagram", "DiagramSpec", "emit", "layout"),
     "verify": ("CheckResult", "run_checks"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -149,8 +149,6 @@ class Plane(_Value):
 PLANES_2D = tuple(Plane.parse(name) for name in ("ij", "nj", "nk", "in", "kj", "ik"))
 PLANES_3D = tuple(Plane.parse(name) for name in ("ijn", "ijk", "nik", "jnk"))
 
-_IJ = PLANES_2D[0]
-
 
 class Isoline(_Value):
     """The family of nodes sharing one fixed coordinate value."""
@@ -207,29 +205,6 @@ def is_reachable(i: int, j: int) -> bool:
 def project(node: Node, plane: Plane) -> tuple[int, ...]:
     """The node's coordinates along the plane's axes, in the plane's order."""
     return _GETTERS[plane.axes](node)
-
-
-def isolines_through(node: Node) -> tuple[Isoline, Isoline, Isoline, Isoline]:
-    """The four isolines crossing at a node, in (i, j, n, k) family order."""
-    return tuple(Isoline(axis, getattr(node, axis)) for axis in AXES)
-
-
-def nodes_on_isoline(iso: Isoline, max_i: int) -> list[Node]:
-    """All valid nodes on the isoline with position at most ``max_i``.
-
-    Ordered by increasing position; the nodes of an i-isoline share one
-    position and come out by increasing unbalance instead.
-    """
-    v = iso.index
-    if iso.family == "i":
-        if v > max_i:
-            return []
-        return [node_from(_IJ, v, j) for j in range(v % 2, v + 1, 2)]
-    if iso.family == "j":
-        return [node_from(_IJ, i, v) for i in range(v, max_i + 1, 2)]
-    if iso.family == "n":
-        return [node_from(_IJ, i, 2 * v - i) for i in range(v, min(2 * v, max_i) + 1)]
-    return [node_from(_IJ, i, i - 2 * v) for i in range(2 * v, max_i + 1)]
 
 
 # Any three axes obey one linear equation; maps give the coefficients of

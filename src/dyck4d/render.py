@@ -131,11 +131,11 @@ def layout(spec: DiagramSpec) -> Diagram:
 def emit(diagram: Diagram) -> str:
     """Serialize a laid-out diagram in its spec's format, which the spec validated."""
     if diagram.spec.fmt == "svg":
-        return emit_svg(diagram)
-    return emit_text(diagram)
+        return _emit_svg(diagram)
+    return _emit_text(diagram)
 
 
-def emit_text(diagram: Diagram) -> str:
+def _emit_text(diagram: Diagram) -> str:
     """Aligned grid of count labels; rows run top to bottom by the y axis.
 
     Isolines and the path are drawn only in SVG.
@@ -166,7 +166,7 @@ def emit_text(diagram: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(diagram: Diagram) -> str:
+def _emit_svg(diagram: Diagram) -> str:
     """SVG 1.1 document with isolines, the optional path, and one labeled dot per node."""
     x_max = max(p.x for p in diagram.nodes)
     y_max = max(p.y for p in diagram.nodes)

@@ -85,12 +85,13 @@ def _check_node_equations(bound: int) -> _Outcome:
 
 
 def _check_reachability(bound: int) -> _Outcome:
+    ij = coords.PLANES_2D[0]
     checked = 0
     for i in range(-2, bound + 1):
         for j in range(-2, i + 3):
             checked += 1
             try:
-                coords.node_from(coords._IJ, i, j)
+                coords.node_from(ij, i, j)
                 constructible = True
             except NotANode:
                 constructible = False
@@ -309,7 +310,7 @@ def _check_serialization(bound: int) -> _Outcome:
 
 
 def _check_render_determinism(bound: int) -> _Outcome:
-    spec = render.DiagramSpec(plane=coords._IJ, max_i=min(bound, 8), fmt="svg")
+    spec = render.DiagramSpec(plane=coords.PLANES_2D[0], max_i=min(bound, 8), fmt="svg")
     diagram, table = render.layout(spec), dynamics.build_table(spec.max_i)
     if render.emit(diagram) != render.emit(render.layout(spec)):
         return False, "same spec emitted different bytes"

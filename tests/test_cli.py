@@ -70,39 +70,6 @@ class TestTable:
             monkeypatch.setattr(module, "build_table", refuse, raising=False)
         assert invoke("table", "--max-i", str(max_i), "--format", fmt) == (0, expected, "")
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
-    def test_digit_limit_is_checked_before_output(self):
-        # Counts in column i have at most i + 1 bits: 663 digits at 2200.
-        before = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            result = invoke("table", "--max-i", "2200")
-        finally:
-            sys.set_int_max_str_digits(before)
-        assert result == (
-            2, "", "resource limit: a count of up to 663 digits is beyond the int/str limit 640\n"
-        )
-
-
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
-@pytest.mark.parametrize("argv", [
-    ("catalan", "2048"),
-    ("dynamics", "4096", "0"),
-    ("decompose", "2048"),
-    ("decompose", "2048", "--json"),
-])
-def test_every_count_is_checked_against_the_digit_limit_before_output(argv):
-    # Each prints catalan(2048), 1,228 digits, or a sum holding it.
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        result = invoke(*argv)
-    finally:
-        sys.set_int_max_str_digits(before)
-    assert result == (
-        2, "", "resource limit: a count of up to 1228 digits is beyond the int/str limit 640\n"
-    )
-
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 def test_decompose_refuses_the_digit_limit_before_the_recurrence(monkeypatch):

@@ -12,16 +12,16 @@ from dyck4d import (
     Node,
     Plane,
     is_reachable,
-    isolines_through,
     iter_nodes,
     node_from,
-    nodes_on_isoline,
     planarity_equation,
     planarity_residual,
     project,
 )
 from dyck4d import coords
 from dyck4d.errors import NotANode
+
+from test_render import _nodes_on_isoline
 
 IJ = Plane.parse("ij")
 
@@ -179,44 +179,6 @@ class TestProjection:
 
 
 class TestIsolines:
-    def test_through_example(self):
-        families = isolines_through(Node(7, 3, 5, 2))
-        assert families == (
-            Isoline("i", 7), Isoline("j", 3), Isoline("n", 5), Isoline("k", 2),
-        )
-
-    def test_through_origin(self):
-        assert isolines_through(Node(0, 0, 0, 0)) == tuple(
-            Isoline(axis, 0) for axis in "ijnk"
-        )
-
-    def test_through_bottom_corner(self):
-        assert isolines_through(Node(12, 0, 6, 6)) == (
-            Isoline("i", 12), Isoline("j", 0), Isoline("n", 6), Isoline("k", 6),
-        )
-
-    def test_falling_diagonal(self):
-        nodes = nodes_on_isoline(Isoline("n", 6), 12)
-        assert [(node.i, node.j) for node in nodes] == [
-            (6, 6), (7, 5), (8, 4), (9, 3), (10, 2), (11, 1), (12, 0),
-        ]
-
-    def test_rising_diagonal(self):
-        nodes = nodes_on_isoline(Isoline("k", 1), 6)
-        assert [(node.i, node.j) for node in nodes] == [
-            (2, 0), (3, 1), (4, 2), (5, 3), (6, 4),
-        ]
-
-    def test_ground_row_at_origin(self):
-        assert nodes_on_isoline(Isoline("j", 0), 0) == [Node(0, 0, 0, 0)]
-
-    def test_vertical(self):
-        nodes = nodes_on_isoline(Isoline("i", 4), 10)
-        assert [(node.i, node.j) for node in nodes] == [(4, 0), (4, 2), (4, 4)]
-
-    def test_vertical_out_of_range(self):
-        assert nodes_on_isoline(Isoline("i", 5), 4) == []
-
     def test_invalid_isoline(self):
         with pytest.raises(ValueError):
             Isoline("x", 0)
@@ -225,8 +187,8 @@ class TestIsolines:
 
     @given(valid_nodes(max_i=40))
     def test_node_lies_on_all_four(self, node):
-        for iso in isolines_through(node):
-            assert node in nodes_on_isoline(iso, node.i)
+        for axis in AXES:
+            assert node in _nodes_on_isoline(Isoline(axis, getattr(node, axis)), node.i)
 
 
 def test_iter_nodes_counts_columns():

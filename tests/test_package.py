@@ -17,8 +17,8 @@ SRC = str(Path(dyck4d.__file__).resolve().parent.parent)
 PUBLIC = {
     "coords": [
         "AXES", "MAX_COORD", "PLANES_2D", "PLANES_3D", "Isoline", "Node", "Plane",
-        "is_reachable", "isolines_through", "iter_nodes", "node_from", "nodes_on_isoline",
-        "planarity_equation", "planarity_residual", "project",
+        "is_reachable", "iter_nodes", "node_from", "planarity_equation",
+        "planarity_residual", "project",
     ],
     "dynamics": [
         "DEFAULT_POSITION_CAP", "TABLE_FORMAT", "DynamicsTable", "build_table", "catalan",
@@ -37,7 +37,7 @@ PUBLIC = {
         "ProjectedPath", "count_paths_by_height", "count_paths_to", "enumerate_words",
         "format_word", "parse_word", "project_path", "trace",
     ],
-    "render": ["Diagram", "DiagramSpec", "emit", "emit_svg", "emit_text", "layout"],
+    "render": ["Diagram", "DiagramSpec", "emit", "layout"],
     "verify": ["CheckResult", "run_checks"],
 }
 

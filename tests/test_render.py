@@ -12,14 +12,16 @@ from dyck4d import (
     DEFAULT_POSITION_CAP,
     DiagramSpec,
     Isoline,
+    Node,
     Plane,
     build_table,
     emit,
     layout,
+    node_from,
     parse_word,
 )
 from dyck4d import render
-from dyck4d.coords import PLANES_2D, PLANES_3D, nodes_on_isoline, project
+from dyck4d.coords import PLANES_2D, PLANES_3D, project
 from dyck4d.errors import DomainError, ResourceLimit
 from dyck4d.render import ISOLINE_COLORS
 
@@ -179,8 +181,49 @@ def test_emit_honors_spec_format():
     assert emit(layout(DiagramSpec(plane=IJ, max_i=2, fmt="text"))).startswith("j\n")
 
 
+def _nodes_on_isoline(iso, max_i):
+    """All valid nodes on the isoline with position at most ``max_i``, each completed
+    from its ij coordinates: by increasing position, or for an i-isoline by increasing
+    unbalance."""
+    v = iso.index
+    if iso.family == "i":
+        if v > max_i:
+            return []
+        return [node_from(IJ, v, j) for j in range(v % 2, v + 1, 2)]
+    if iso.family == "j":
+        return [node_from(IJ, i, v) for i in range(v, max_i + 1, 2)]
+    if iso.family == "n":
+        return [node_from(IJ, i, 2 * v - i) for i in range(v, min(2 * v, max_i) + 1)]
+    return [node_from(IJ, i, i - 2 * v) for i in range(2 * v, max_i + 1)]
+
+
+class TestNodesOnIsoline:
+    def test_falling_diagonal(self):
+        nodes = _nodes_on_isoline(Isoline("n", 6), 12)
+        assert [(node.i, node.j) for node in nodes] == [
+            (6, 6), (7, 5), (8, 4), (9, 3), (10, 2), (11, 1), (12, 0),
+        ]
+
+    def test_rising_diagonal(self):
+        nodes = _nodes_on_isoline(Isoline("k", 1), 6)
+        assert [(node.i, node.j) for node in nodes] == [
+            (2, 0), (3, 1), (4, 2), (5, 3), (6, 4),
+        ]
+
+    def test_ground_row_at_origin(self):
+        assert _nodes_on_isoline(Isoline("j", 0), 0) == [Node(0, 0, 0, 0)]
+
+    def test_vertical(self):
+        nodes = _nodes_on_isoline(Isoline("i", 4), 10)
+        assert [(node.i, node.j) for node in nodes] == [(4, 0), (4, 2), (4, 4)]
+
+    def test_vertical_out_of_range(self):
+        assert _nodes_on_isoline(Isoline("i", 5), 4) == []
+
+
 def _reference_isolines(spec):
-    """Isolines as completed node by node through nodes_on_isoline."""
+    """Isolines as completed node by node through _nodes_on_isoline, not grouped from
+    the placed nodes as layout does."""
     plane = Plane(spec.plane.axes[:2])
     placed = list(build_table(spec.max_i).items())
     isolines = []
@@ -190,7 +233,7 @@ def _reference_isolines(spec):
         for index in sorted({getattr(node, family) for node, _ in placed}):
             iso = Isoline(family, index)
             points = tuple(
-                project(node, plane) for node in nodes_on_isoline(iso, spec.max_i)
+                project(node, plane) for node in _nodes_on_isoline(iso, spec.max_i)
             )
             if len(points) >= 2:
                 isolines.append((iso, points))
