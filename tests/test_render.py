@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import pickle
 import re
@@ -174,6 +175,25 @@ class TestEmitSvg:
         svg = emit(layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4, fmt="svg")))
         assert "<desc>" in svg
         assert "j - n + k = 0" in svg
+
+
+# SHA-256 of every document over the grid below, each followed by a NUL byte.
+GRID_DIGEST = "27fcd7e39ffa039903cff7ab5a930c4b48a54828ecc96e9e6e0f0ee4ee9d444b"
+
+
+def test_documents_over_the_grid_are_pinned():
+    digest = hashlib.sha256()
+    for plane in PLANES_2D + PLANES_3D:
+        for max_i in (0, 1, 2, 5, 13):
+            for isolines in ("ijnk", "", "nk", "i"):
+                for word in (None, "", "(()", "()()"):
+                    if word is not None and len(word) > max_i:
+                        continue
+                    for fmt in ("text", "svg"):
+                        spec = DiagramSpec(plane, max_i, isolines,
+                                           None if word is None else parse_word(word), fmt)
+                        digest.update(emit(layout(spec)).encode() + b"\0")
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 def test_emit_honors_spec_format():
