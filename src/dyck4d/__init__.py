@@ -24,7 +24,6 @@ _EXPORTS = {
         "MAX_COORD",
         "PLANES_2D",
         "PLANES_3D",
-        "Isoline",
         "Node",
         "Plane",
         "is_reachable",

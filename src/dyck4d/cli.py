@@ -238,3 +238,7 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None,
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

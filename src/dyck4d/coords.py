@@ -150,19 +150,6 @@ PLANES_2D = tuple(Plane.parse(name) for name in ("ij", "nj", "nk", "in", "kj", "
 PLANES_3D = tuple(Plane.parse(name) for name in ("ijn", "ijk", "nik", "jnk"))
 
 
-class Isoline(_Value):
-    """The family of nodes sharing one fixed coordinate value."""
-
-    __slots__ = ("family", "index")
-
-    def __init__(self, family: str, index: int):
-        if family not in AXES:
-            raise DomainError(f"unknown isoline family {family!r}")
-        if index < 0:
-            raise DomainError(f"isoline index must be nonnegative, got {index}")
-        self._set(family, index)
-
-
 def _diag_from_ij(i: int, j: int) -> tuple[int, int]:
     n, parity = divmod(i + j, 2)
     if parity:

@@ -3,18 +3,18 @@
 Output is deterministic: the same :class:`DiagramSpec` always serializes to
 the same bytes, so emitted documents are safe to pin as golden files.
 Node labels are always read straight off a count table built for the spec;
-nothing is recomputed at draw time.  Isolines are drawn through the nodes
-already placed: grouping them by one coordinate gives each isoline's points.
+nothing is recomputed at draw time.  ``layout`` only places the nodes; the SVG
+emitter groups them by one coordinate into isolines and projects the word's path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .coords import AXES, Isoline, Node, Plane, _Value, planarity_equation, project
+from .coords import AXES, Node, Plane, _Value, planarity_equation, project
 from .dynamics import _check_bound, _max_digits, build_table
 from .errors import DomainError, ResourceLimit
-from .paths import DyckWord, ProjectedPath, project_path, trace
+from .paths import DyckWord, project_path, trace
 
 # One color per isoline family, fixed so golden files stay stable.
 ISOLINE_COLORS = {"i": "#008000", "j": "#0000ff", "n": "#b8860b", "k": "#ff0000"}
@@ -78,17 +78,15 @@ class Diagram(_Value):
     """A laid-out diagram, ready to serialize: ``plane`` is the two-axis plane actually
     drawn, and ``note`` is set when a three-axis plane was flattened."""
 
-    __slots__ = ("spec", "plane", "note", "nodes", "isolines", "path")
+    __slots__ = ("spec", "plane", "note", "nodes")
 
     def __init__(self, spec: DiagramSpec, plane: Plane, note: str | None,
-                 nodes: tuple[PlacedNode, ...],
-                 isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...],
-                 path: ProjectedPath | None):
-        self._set(spec, plane, note, nodes, isolines, path)
+                 nodes: tuple[PlacedNode, ...]):
+        self._set(spec, plane, note, nodes)
 
 
 def layout(spec: DiagramSpec) -> Diagram:
-    """Place every reachable node, isoline polyline, and path point.
+    """Place every reachable node.
 
     A three-axis plane is drawn as its first two axes: every three-axis
     view lies exactly on one plane, so the third axis carries no extra
@@ -110,22 +108,7 @@ def layout(spec: DiagramSpec) -> Diagram:
         PlacedNode(node, *project(node, plane), str(value))
         for node, value in table.items()
     )
-
-    isolines = []
-    for family in spec.isolines:
-        # Nodes are placed column by column, k ascending, so each group runs
-        # by rising position; read backwards, a column runs by rising j.
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for p in reversed(placed) if family == "i" else placed:
-            groups.setdefault(getattr(p.node, family), []).append((p.x, p.y))
-        for index, points in sorted(groups.items()):
-            if len(points) >= 2:
-                isolines.append((Isoline(family, index), tuple(points)))
-
-    path = None
-    if spec.word is not None:
-        path = project_path(trace(spec.word), plane)
-    return Diagram(spec, plane, note, placed, tuple(isolines), path)
+    return Diagram(spec, plane, note, placed)
 
 
 def emit(diagram: Diagram) -> str:
@@ -191,17 +174,24 @@ def _emit_svg(diagram: Diagram) -> str:
         parts.append(f"<desc>{diagram.note}</desc>")
 
     parts.append('<g id="isolines">')
-    for iso, points in diagram.isolines:
-        path_points = " ".join(f"{px(x)},{py(y)}" for x, y in points)
-        parts.append(
-            f'<polyline class="iso-{iso.family}{iso.index}" fill="none" '
-            f'stroke="{ISOLINE_COLORS[iso.family]}" stroke-width="1" '
-            f'points="{path_points}"/>'
-        )
+    for family in diagram.spec.isolines:
+        # Nodes are placed column by column, k ascending, so each group runs
+        # by rising position; read backwards, a column runs by rising j.
+        groups: dict[int, list[str]] = {}
+        for p in reversed(diagram.nodes) if family == "i" else diagram.nodes:
+            groups.setdefault(getattr(p.node, family), []).append(f"{px(p.x)},{py(p.y)}")
+        for index, points in sorted(groups.items()):
+            if len(points) >= 2:
+                parts.append(
+                    f'<polyline class="iso-{family}{index}" fill="none" '
+                    f'stroke="{ISOLINE_COLORS[family]}" stroke-width="1" '
+                    f'points="{" ".join(points)}"/>'
+                )
     parts.append("</g>")
 
-    if diagram.path is not None:
-        path_points = " ".join(f"{px(x)},{py(y)}" for x, y in diagram.path.points)
+    if diagram.spec.word is not None:
+        path = project_path(trace(diagram.spec.word), diagram.plane)
+        path_points = " ".join(f"{px(x)},{py(y)}" for x, y in path.points)
         parts.append('<g id="path">')
         parts.append(
             f'<polyline fill="none" stroke="{PATH_COLOR}" stroke-width="3" '

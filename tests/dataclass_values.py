@@ -1,4 +1,4 @@
-"""Reference definitions for ``test_values.py``: the thirteen value classes as
+"""Reference definitions for ``test_values.py``: the twelve value classes as
 frozen dataclasses, as ``coords``, ``dynamics``, ``identities``, ``paths``,
 ``render`` and ``verify`` defined them before they became ``__slots__``
 classes.  Not collected as tests."""
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dyck4d.coords import AXES, MAX_COORD, Isoline, Node, Plane
+from dyck4d.coords import AXES, MAX_COORD, Node, Plane
 from dyck4d.dynamics import _check_count_digits
 from dyck4d.errors import DomainError, InvalidCharacter, NotANode, PrefixViolation
 from dyck4d.paths import _HEIGHT_CHANGE
@@ -70,20 +70,6 @@ class Plane:
     @property
     def is_spatial(self) -> bool:
         return len(self.axes) == 3
-
-
-@dataclass(frozen=True)
-class Isoline:
-    """The family of nodes sharing one fixed coordinate value."""
-
-    family: str
-    index: int
-
-    def __post_init__(self):
-        if self.family not in AXES:
-            raise DomainError(f"unknown isoline family {self.family!r}")
-        if self.index < 0:
-            raise DomainError(f"isoline index must be nonnegative, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +217,6 @@ class Diagram:
     plane: Plane  # the two-axis plane actually drawn
     note: str | None  # set when a three-axis plane was flattened
     nodes: tuple[PlacedNode, ...]
-    isolines: tuple[tuple[Isoline, tuple[tuple[int, int], ...]], ...]
-    path: ProjectedPath | None
 
 
 @dataclass(frozen=True)

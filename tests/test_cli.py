@@ -319,10 +319,10 @@ class _FullDisk(io.StringIO):
 class TestOutputErrors:
     def test_closed_pipe_exits_1_without_a_traceback(self):
         # As `dyck4d table --max-i 300 | head -c 10`: the reader closes after 10 bytes.
-        code = "import sys; from dyck4d.cli import main; sys.argv[1:] = ['table', '--max-i', '300']; main()"
         src = str(Path(dyck4d.__file__).resolve().parent.parent)
-        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        proc = subprocess.Popen([sys.executable, "-m", "dyck4d.cli", "table", "--max-i", "300"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.read(10) == b"i,j,n,k,co"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
@@ -331,10 +331,10 @@ class TestOutputErrors:
 
     def test_ctrl_c_exits_130_without_a_traceback(self):
         # As Ctrl-C on `dyck4d enumerate 16`, once its first line has been read.
-        code = "import sys; from dyck4d.cli import main; sys.argv[1:] = ['enumerate', '16']; main()"
         src = str(Path(dyck4d.__file__).resolve().parent.parent)
-        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        proc = subprocess.Popen([sys.executable, "-m", "dyck4d.cli", "enumerate", "16"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.readline() == b"(" * 16 + b")" * 16 + b"\n"
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)  # the lines written before it stopped

@@ -8,7 +8,6 @@ from dyck4d import (
     MAX_COORD,
     PLANES_2D,
     PLANES_3D,
-    Isoline,
     Node,
     Plane,
     is_reachable,
@@ -179,16 +178,10 @@ class TestProjection:
 
 
 class TestIsolines:
-    def test_invalid_isoline(self):
-        with pytest.raises(ValueError):
-            Isoline("x", 0)
-        with pytest.raises(ValueError):
-            Isoline("i", -1)
-
     @given(valid_nodes(max_i=40))
     def test_node_lies_on_all_four(self, node):
         for axis in AXES:
-            assert node in _nodes_on_isoline(Isoline(axis, getattr(node, axis)), node.i)
+            assert node in _nodes_on_isoline(axis, getattr(node, axis), node.i)
 
 
 def test_iter_nodes_counts_columns():

@@ -4,7 +4,7 @@
 
 import pytest
 
-from dyck4d.coords import Isoline, Node, Plane, node_from, planarity_equation, planarity_residual
+from dyck4d.coords import Node, Plane, node_from, planarity_equation, planarity_residual
 from dyck4d.dynamics import build_table, catalan
 from dyck4d.errors import DomainError, DyckError
 from dyck4d.identities import binomial, decompose_catalan
@@ -15,8 +15,6 @@ BAD_CALLS = [
     (lambda: Plane("i"), "a plane selects 2 or 3 axes, got ('i',)"),
     (lambda: Plane("ii"), "plane axes must be distinct, got ('i', 'i')"),
     (lambda: Plane("ix"), "unknown axis 'x', expected one of ('i', 'j', 'n', 'k')"),
-    (lambda: Isoline("x", 0), "unknown isoline family 'x'"),
-    (lambda: Isoline("i", -1), "isoline index must be nonnegative, got -1"),
     (lambda: node_from(Plane.parse("ijn"), 1, 1), "node_from needs a two-axis plane, got 'ijn'"),
     (lambda: planarity_residual(Node(0, 0, 0, 0), Plane.parse("ij")),
      "planarity applies to three-axis planes, got 'ij'"),
@@ -31,10 +29,9 @@ BAD_CALLS = [
     (lambda: build_table(-1), "max_i must be nonnegative, got -1"),
     (lambda: catalan(-1), "n must be nonnegative, got -1"),
 ]
-_IDS = ["Plane-size", "Plane-distinct", "Plane-axis", "Isoline-family", "Isoline-index",
-        "node_from", "planarity_residual", "planarity_equation", "project_path",
-        "enumerate_words", "count_paths_by_height", "binomial", "decompose_catalan",
-        "build_table", "catalan"]
+_IDS = ["Plane-size", "Plane-distinct", "Plane-axis", "node_from", "planarity_residual",
+        "planarity_equation", "project_path", "enumerate_words", "count_paths_by_height",
+        "binomial", "decompose_catalan", "build_table", "catalan"]
 
 
 @pytest.mark.parametrize("call, text", BAD_CALLS, ids=_IDS)

@@ -16,7 +16,7 @@ SRC = str(Path(dyck4d.__file__).resolve().parent.parent)
 # The public API, by home module, in the order ``__all__`` lists it.
 PUBLIC = {
     "coords": [
-        "AXES", "MAX_COORD", "PLANES_2D", "PLANES_3D", "Isoline", "Node", "Plane",
+        "AXES", "MAX_COORD", "PLANES_2D", "PLANES_3D", "Node", "Plane",
         "is_reachable", "iter_nodes", "node_from", "planarity_equation",
         "planarity_residual", "project",
     ],
@@ -83,6 +83,17 @@ def test_unknown_name_raises_attribute_error():
         dyck4d.no_such_name
     with pytest.raises(ImportError):
         from dyck4d import no_such_name  # noqa: F401
+
+
+def test_the_cli_module_runs_as_a_script():
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "dyck4d.cli", *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    done = cli("catalan", "6")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "132\n", "")
+    refused = cli("catalan", "x")
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert len(refused.stderr.splitlines()) == 1
 
 
 def test_point_queries_load_no_paths_render_or_verify():

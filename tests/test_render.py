@@ -12,7 +12,6 @@ from dyck4d import (
     AXES,
     DEFAULT_POSITION_CAP,
     DiagramSpec,
-    Isoline,
     Node,
     Plane,
     build_table,
@@ -20,6 +19,8 @@ from dyck4d import (
     layout,
     node_from,
     parse_word,
+    project_path,
+    trace,
 )
 from dyck4d import render
 from dyck4d.coords import PLANES_2D, PLANES_3D, project
@@ -29,6 +30,24 @@ from dyck4d.render import ISOLINE_COLORS
 DATA = Path(__file__).parent / "data"
 
 IJ = Plane.parse("ij")
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _svg_isolines(svg):
+    """The document's iso-* polylines read back to lattice points, as
+    ((family, index), points) in document order."""
+    root = ET.fromstring(svg)
+    height = int(root.get("height"))
+
+    def lattice(point):
+        x, y = map(int, point.split(","))
+        return (x - render.MARGIN) / render.SCALE, (height - render.MARGIN - y) / render.SCALE
+
+    isolines = []
+    for line in root.iterfind(f"{SVG}g[@id='isolines']/{SVG}polyline"):
+        name = line.get("class").removeprefix("iso-")
+        isolines.append(((name[0], int(name[1:])), tuple(map(lattice, line.get("points").split()))))
+    return tuple(isolines)
 
 
 class TestLayout:
@@ -49,8 +68,8 @@ class TestLayout:
                 assert placed.label == str(table.count_node(placed.node))
 
     def test_nk_ground_isoline_is_main_diagonal(self):
-        diagram = layout(DiagramSpec(plane=Plane.parse("nk"), max_i=12))
-        ground = dict(diagram.isolines)[Isoline("j", 0)]
+        svg = emit(layout(DiagramSpec(plane=Plane.parse("nk"), max_i=12, fmt="svg")))
+        ground = dict(_svg_isolines(svg))[("j", 0)]
         assert ground == tuple((m, m) for m in range(7))
 
     def test_kj_quadrant_is_full(self):
@@ -69,8 +88,16 @@ class TestLayout:
         assert "i + j - 2n = 0" in diagram.note
 
     def test_isoline_family_selection(self):
-        diagram = layout(DiagramSpec(plane=IJ, max_i=6, isolines=frozenset("nk")))
-        assert {iso.family for iso, _ in diagram.isolines} == {"n", "k"}
+        svg = emit(layout(DiagramSpec(plane=IJ, max_i=6, isolines=frozenset("nk"), fmt="svg")))
+        assert {family for (family, _), _ in _svg_isolines(svg)} == {"n", "k"}
+
+    def test_text_builds_no_isoline_or_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("only SVG draws the path")
+        monkeypatch.setattr(render, "project_path", refuse)
+        monkeypatch.setattr(render, "trace", refuse)
+        spec = DiagramSpec(IJ, 6, "ijnk", parse_word("(()"), "text")
+        assert emit(layout(spec)) == emit(layout(DiagramSpec(IJ, 6, "", fmt="text")))
 
     def test_resource_limit_propagates(self):
         with pytest.raises(ResourceLimit):
@@ -201,49 +228,48 @@ def test_emit_honors_spec_format():
     assert emit(layout(DiagramSpec(plane=IJ, max_i=2, fmt="text"))).startswith("j\n")
 
 
-def _nodes_on_isoline(iso, max_i):
-    """All valid nodes on the isoline with position at most ``max_i``, each completed
-    from its ij coordinates: by increasing position, or for an i-isoline by increasing
-    unbalance."""
-    v = iso.index
-    if iso.family == "i":
+def _nodes_on_isoline(family, v, max_i):
+    """All valid nodes whose ``family`` coordinate is ``v``, with position at most
+    ``max_i``, each completed from its ij coordinates: by increasing position, or for
+    an i-isoline by increasing unbalance."""
+    if family == "i":
         if v > max_i:
             return []
         return [node_from(IJ, v, j) for j in range(v % 2, v + 1, 2)]
-    if iso.family == "j":
+    if family == "j":
         return [node_from(IJ, i, v) for i in range(v, max_i + 1, 2)]
-    if iso.family == "n":
+    if family == "n":
         return [node_from(IJ, i, 2 * v - i) for i in range(v, min(2 * v, max_i) + 1)]
     return [node_from(IJ, i, i - 2 * v) for i in range(2 * v, max_i + 1)]
 
 
 class TestNodesOnIsoline:
     def test_falling_diagonal(self):
-        nodes = _nodes_on_isoline(Isoline("n", 6), 12)
+        nodes = _nodes_on_isoline("n", 6, 12)
         assert [(node.i, node.j) for node in nodes] == [
             (6, 6), (7, 5), (8, 4), (9, 3), (10, 2), (11, 1), (12, 0),
         ]
 
     def test_rising_diagonal(self):
-        nodes = _nodes_on_isoline(Isoline("k", 1), 6)
+        nodes = _nodes_on_isoline("k", 1, 6)
         assert [(node.i, node.j) for node in nodes] == [
             (2, 0), (3, 1), (4, 2), (5, 3), (6, 4),
         ]
 
     def test_ground_row_at_origin(self):
-        assert _nodes_on_isoline(Isoline("j", 0), 0) == [Node(0, 0, 0, 0)]
+        assert _nodes_on_isoline("j", 0, 0) == [Node(0, 0, 0, 0)]
 
     def test_vertical(self):
-        nodes = _nodes_on_isoline(Isoline("i", 4), 10)
+        nodes = _nodes_on_isoline("i", 4, 10)
         assert [(node.i, node.j) for node in nodes] == [(4, 0), (4, 2), (4, 4)]
 
     def test_vertical_out_of_range(self):
-        assert _nodes_on_isoline(Isoline("i", 5), 4) == []
+        assert _nodes_on_isoline("i", 5, 4) == []
 
 
 def _reference_isolines(spec):
     """Isolines as completed node by node through _nodes_on_isoline, not grouped from
-    the placed nodes as layout does."""
+    the placed nodes as the SVG emitter does."""
     plane = Plane(spec.plane.axes[:2])
     placed = list(build_table(spec.max_i).items())
     isolines = []
@@ -251,12 +277,11 @@ def _reference_isolines(spec):
         if family not in spec.isolines:
             continue
         for index in sorted({getattr(node, family) for node, _ in placed}):
-            iso = Isoline(family, index)
             points = tuple(
-                project(node, plane) for node in _nodes_on_isoline(iso, spec.max_i)
+                project(node, plane) for node in _nodes_on_isoline(family, index, spec.max_i)
             )
             if len(points) >= 2:
-                isolines.append((iso, points))
+                isolines.append(((family, index), points))
     return tuple(isolines)
 
 
@@ -264,8 +289,8 @@ def _reference_isolines(spec):
 def test_isolines_match_node_completion(plane):
     for max_i in range(16):
         for families in ("ijnk", "i", "kn", ""):
-            spec = DiagramSpec(plane=plane, max_i=max_i, isolines=frozenset(families))
-            assert layout(spec).isolines == _reference_isolines(spec)
+            spec = DiagramSpec(plane=plane, max_i=max_i, isolines=frozenset(families), fmt="svg")
+            assert _svg_isolines(emit(layout(spec))) == _reference_isolines(spec)
 
 
 def test_output_cap_keeps_labels_below_every_digit_limit():
@@ -279,8 +304,9 @@ def test_output_cap_keeps_labels_below_every_digit_limit():
 
 def test_word_on_every_axis_order():
     # jnk flattens to jn, where a downstep moves left.
-    diagram = layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4, word=parse_word("()()")))
-    assert [move.kind for move in diagram.path.moves] == ["up-right", "left"] * 2
+    plane = layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4)).plane
+    path = project_path(trace(parse_word("()()")), plane)
+    assert [move.kind for move in path.moves] == ["up-right", "left"] * 2
 
 
 @pytest.mark.parametrize("max_i", [0, 1, 2, 3, 5, 8, 13, 16, 21, 40, 64])

@@ -1,4 +1,4 @@
-"""The thirteen value classes keep what their frozen-dataclass form gave them.
+"""The twelve value classes keep what their frozen-dataclass form gave them.
 
 ``dataclass_values`` holds the dataclass definitions they replaced.  Each
 test builds the same arguments both ways: the new class must accept and
@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import dataclass_values as ref
 import dyck4d
 from dyck4d import (AXES, MAX_COORD, PLANES_2D, PLANES_3D, CheckResult, Decomposition, Diagram,
-                    DiagramSpec, DyckWord, DynamicsTable, Isoline, Node, PathMove, PathTrace, Plane,
+                    DiagramSpec, DyckWord, DynamicsTable, Node, PathMove, PathTrace, Plane,
                     ProjectedPath, build_table, iter_nodes)
 from dyck4d.render import PlacedNode
 
@@ -54,7 +54,6 @@ def node_args(draw):
 
 axes = st.sampled_from([*AXES, "x", "I", ""])
 plane_args = st.tuples(st.lists(axes, max_size=4).map(tuple))
-isoline_args = st.tuples(st.one_of(axes, st.integers(0, 3)), st.one_of(ints, st.booleans()))
 columns = st.lists(st.lists(st.integers(0, 10**30), max_size=4).map(tuple), max_size=4).map(tuple)
 table_args = st.tuples(st.integers(-2, 10), columns)
 decomposition_args = st.tuples(st.integers(-2, 100), st.lists(ints, max_size=5).map(tuple))
@@ -88,8 +87,6 @@ placed_args = st.tuples(nodes, ints, ints, st.text(max_size=4))
 diagram_args = st.tuples(
     st.builds(DiagramSpec, planes, st.integers(0, 12), tuples_of(st.sampled_from(AXES), 4)), planes,
     st.one_of(st.none(), st.text(max_size=8)), tuples_of(placed_args.map(lambda a: PlacedNode(*a))),
-    tuples_of(st.tuples(st.builds(Isoline, st.sampled_from(AXES), st.integers(0, 5)), points), 2),
-    st.one_of(st.none(), projected_args.map(lambda a: ProjectedPath(*a))),
 )
 check_args = st.tuples(st.text(max_size=8), st.booleans(), st.text(max_size=8),
                        st.floats(allow_nan=False))
@@ -97,7 +94,6 @@ check_args = st.tuples(st.text(max_size=8), st.booleans(), st.text(max_size=8),
 CASES = [
     (Node, ref.Node, node_args()),
     (Plane, ref.Plane, plane_args),
-    (Isoline, ref.Isoline, isoline_args),
     (DynamicsTable, ref.DynamicsTable, table_args),
     (Decomposition, ref.Decomposition, decomposition_args),
     (DyckWord, ref.DyckWord, word_args),

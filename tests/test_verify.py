@@ -176,8 +176,7 @@ def _kj_nodes(edit):
             diagram = real(spec)
             if spec.plane.name != "kj":
                 return diagram
-            return render.Diagram(diagram.spec, diagram.plane, diagram.note, edit(diagram.nodes),
-                                  diagram.isolines, diagram.path)
+            return render.Diagram(diagram.spec, diagram.plane, diagram.note, edit(diagram.nodes))
         return layout
     return fault
 
