@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -293,6 +294,18 @@ class TestWritersMatchStdlib:
     def test_json(self, max_i):
         table = build_table(max_i)
         assert _first_difference(table_to_json(table), _reference_json(table)) is None
+
+
+# SHA-256 of the CSV then the JSON export of each table below, each followed by a NUL byte.
+EXPORT_GRID_DIGEST = "8085d917761d9295c94ddfd1de0b294b04a5d1bdfee9bee99322a73023e65970"
+
+
+def test_exports_over_the_grid_are_pinned():
+    digest = hashlib.sha256()
+    for max_i in [*range(65), 128, 255, 512]:
+        table = build_table(max_i)
+        digest.update(table_to_csv(table).encode() + b"\0" + table_to_json(table).encode() + b"\0")
+    assert digest.hexdigest() == EXPORT_GRID_DIGEST
 
 
 class TestRecurrenceRejection:
