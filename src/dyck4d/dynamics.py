@@ -11,7 +11,11 @@ with absent predecessors contributing zero (``_next_column``, which import
 validation reruns; ``_columns`` runs it from the origin), and hold exact
 Python integers throughout.  Export and import go one column at a time
 (i and k fix j = i - 2k and n = i - k, so no :class:`Node` is built per
-entry): ``stream_table`` writes an export holding two columns.  Since one
+entry): ``stream_table`` writes an export holding two columns.  A column is
+joined at C level, with no format call per entry: the writer splits its
+format's entry template into six literal pieces once, keeps ``str(x)`` for
+every position x reached so far, reads j, n and k off that list by slices,
+and formats only the counts with ``str()``.  Since one
 recurrence fixes the table, a valid file is the export of ``_columns(max_i)``:
 an import takes max_i from the text (JSON's header, a CSV's last record),
 matches each piece ``_export`` yields for it in place, never the whole text,
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from .coords import MAX_COORD, Node, _Value, is_reachable, iter_nodes
 from .errors import DomainError, NotANode, OutOfRange, ResourceLimit, TableFormatError
@@ -151,8 +156,16 @@ _FORMATS = {
 }
 
 
-def _column_text(entry: str, sep: str, i: int, col: tuple[int, ...]) -> str:
-    return sep.join([entry.format(i, i - 2 * k, i - k, k, v) for k, v in enumerate(col)])
+def _column_text(pieces: list[str], sep: str, digits: list[str], i: int,
+                 col: tuple[int, ...]) -> str:
+    """Column i's entries joined by ``sep``, each the six literal ``pieces``
+    around i, j, n, k and the count, where ``digits[x]`` is ``str(x)`` for x <= i."""
+    a, b, c, d, e, f = pieces
+    # Entry k: j = i - 2k falls by 2, n = i - k by 1, k rises from 0; zip ends with col.
+    return sep.join(map("".join, zip(
+        repeat(a + digits[i] + b), digits[i::-2], repeat(c),
+        reversed(digits[i - len(col) + 1 : i + 1]), repeat(d), digits, repeat(e),
+        map(str, col), repeat(f))))
 
 
 def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
@@ -161,11 +174,14 @@ def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
     none before the digit limit is checked for counts up to ``largest``."""
     _check_count_digits(largest)
     header, entry, sep, tail = _FORMATS[fmt]
+    pieces = [piece.format() for piece in entry.split("{}")]  # format() unescapes braces
+    digits: list[str] = []
     yield header.format(max_i)
     for i, col in enumerate(columns):
+        digits.append(str(i))
         if i:
             yield sep
-        yield _column_text(entry, sep, i, col)
+        yield _column_text(pieces, sep, digits, i, col)
     yield tail
 
 

@@ -633,9 +633,9 @@ class TestExactBytesRoute:
         formatted = []
         column_text = dynamics._column_text
 
-        def spy(entry, sep, i, col):
+        def spy(pieces, sep, digits, i, col):
             formatted.append(i)
-            return column_text(entry, sep, i, col)
+            return column_text(pieces, sep, digits, i, col)
 
         monkeypatch.setattr(dynamics, "_column_text", spy)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3, raising=False)
@@ -673,3 +673,30 @@ class TestExactBytesRoute:
         monkeypatch.setattr(dynamics, "_columns", refuse)
         assert dynamics._exact_table(text, fmt) is None
         assert returned_or_raised(parse, text) == reference
+
+    @pytest.mark.parametrize("limit", [STR_DIGITS, 0], ids=["digit limit", "no digit limit"])
+    def test_claimed_bound_within_the_text_formats_one_column(self, monkeypatch, limit):
+        # About 1 MB whose last record claims a max_i just below the text's length and
+        # whose origin count is wrong: the replay stops at column 0, formatting no
+        # position beyond it, whether or not the digit limit refuses first.
+        body = "i,j,n,k,count\n0,0,0,0,2\n" + "1,1,1,0,1\n" * 100_000
+        text = f"{body}{len(body)},0,0,0,1\n"
+        formatted = []
+        column_text = dynamics._column_text
+
+        def spy(pieces, sep, digits, i, col):
+            formatted.append(i)
+            return column_text(pieces, sep, digits, i, col)
+
+        monkeypatch.setattr(dynamics, "_column_text", spy)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        tracemalloc.start()
+        try:
+            assert dynamics._exact_table(text, "csv") is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert formatted == ([] if limit else [0])
+        assert peak < 256_000, peak
+        with pytest.raises(TableFormatError, match="origin count must be 1, got 2"):
+            table_from_csv(text)

@@ -132,8 +132,8 @@ def test_a_formatter_fault_fails_table_serialization(monkeypatch):
     # the bumped export; the parsers read the text independently.
     real = dynamics._column_text
 
-    def bumped(entry, sep, i, col):
-        return real(entry, sep, i, tuple(v + 1 for v in col) if i == 5 else col)
+    def bumped(pieces, sep, digits, i, col):
+        return real(pieces, sep, digits, i, tuple(v + 1 for v in col) if i == 5 else col)
 
     monkeypatch.setattr(dynamics, "_column_text", bumped)
     details = {r.name: r.detail for r in run_checks(64) if not r.passed}
