@@ -66,7 +66,6 @@ _EXPORTS = {
         "COUNT_SCAN_CAP",
         "ENUMERATION_CAP",
         "DyckWord",
-        "PathMove",
         "PathTrace",
         "ProjectedPath",
         "count_paths_by_height",

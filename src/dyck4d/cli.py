@@ -160,17 +160,23 @@ def _cmd_verify(args, out: TextIOBase) -> int:
     return 0 if passed == len(results) else 1
 
 
+# The name of each move a step makes on a paper plane, by its (dx, dy).
+_MOVE_NAMES = {(1, 1): "up-right", (1, -1): "down-right", (1, 0): "right",
+               (0, 1): "up", (0, -1): "down"}
+
+
 def _cmd_project(args, out: TextIOBase) -> int:
     from .paths import parse_word, project_path, trace
 
     plane = _parse_plane(args.plane, PLANES_2D)
-    projected = project_path(trace(parse_word(args.word)), plane)
+    word = parse_word(args.word)
+    points = project_path(trace(word), plane).points
     print(f"plane: {plane.name}", file=out)
-    x, y = projected.points[0]
+    x, y = points[0]
     print(f"start: ({x},{y})", file=out)
-    for move, (x, y) in zip(projected.moves, projected.points[1:]):
-        dx, dy = move.delta
-        print(f"{move.step} {move.kind} ({dx:+d},{dy:+d}) -> ({x},{y})", file=out)
+    for step, (x0, y0), (x, y) in zip(word.steps, points, points[1:]):
+        dx, dy = x - x0, y - y0
+        print(f"{step} {_MOVE_NAMES[dx, dy]} ({dx:+d},{dy:+d}) -> ({x},{y})", file=out)
     return 0
 
 

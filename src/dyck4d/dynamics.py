@@ -169,10 +169,10 @@ def _column_text(pieces: list[str], sep: str, digits: list[str], i: int,
 
 
 def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
-            largest: int) -> Iterator[str]:
+            bits: int) -> Iterator[str]:
     """The ``fmt`` export of ``columns`` in pieces, per column and separator,
-    none before the digit limit is checked for counts up to ``largest``."""
-    _check_count_digits(largest)
+    none before the digit limit is checked for counts of up to ``bits`` bits."""
+    _check_str_digits(_max_digits(bits))
     header, entry, sep, tail = _FORMATS[fmt]
     pieces = [piece.format() for piece in entry.split("{}")]  # format() unescapes braces
     digits: list[str] = []
@@ -187,19 +187,21 @@ def _export(columns: Iterable[tuple[int, ...]], max_i: int, fmt: str,
 
 def table_to_csv(table: DynamicsTable) -> str:
     """CSV text with columns i, j, n, k, count (count as a decimal string)."""
-    return "".join(_export(table._cols, table.max_i, "csv", max(map(max, table._cols))))
+    return "".join(_export(table._cols, table.max_i, "csv",
+                           max(map(max, table._cols)).bit_length()))
 
 
 def table_to_json(table: DynamicsTable) -> str:
     """JSON document: header with max_i and format version, then all records."""
-    return "".join(_export(table._cols, table.max_i, "json", max(map(max, table._cols))))
+    return "".join(_export(table._cols, table.max_i, "json",
+                           max(map(max, table._cols)).bit_length()))
 
 
 def stream_table(max_i: int, fmt: str) -> Iterator[str]:
     """The ``fmt`` export of ``build_table(max_i)`` in pieces, holding two columns; the
     bound is checked here, the digit limit (no count passes 2**max_i) before any piece."""
     _check_bound(max_i)
-    return _export(_columns(max_i), max_i, fmt, 1 << max_i)
+    return _export(_columns(max_i), max_i, fmt, max_i + 1)
 
 
 def _assemble(records: Iterable[tuple[int, ...]], max_i: int | None) -> DynamicsTable:
@@ -281,7 +283,7 @@ def _exact_table(text: str, fmt: str) -> DynamicsTable | None:
     max_i, pos, cols = int(digits), 0, []
     try:
         for piece in _export((cols.append(col) or col for col in _columns(max_i)),
-                             max_i, fmt, 1 << max_i):
+                             max_i, fmt, max_i + 1):
             if not text.startswith(piece, pos):
                 return None
             pos += len(piece)

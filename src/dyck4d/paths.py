@@ -116,44 +116,17 @@ def trace(word: DyckWord) -> PathTrace:
     return PathTrace(word, tuple(nodes))
 
 
-_MOVE_KINDS = {
-    (1, 1): "up-right",
-    (1, -1): "down-right",
-    (1, 0): "right",
-    (0, 1): "up",
-    (0, -1): "down",
-    (-1, 0): "left",
-    (-1, 1): "up-left",
-}
-
-
-class PathMove(_Value):
-    """One projected step: which step it was, its 2D delta, and a direction name."""
-
-    __slots__ = ("step", "delta", "kind")
-
-    def __init__(self, step: str, delta: tuple[int, int], kind: str):
-        self._set(step, delta, kind)
-
-
-# Every move a projection can make, one shared instance per (step, delta).
-_MOVES = {(step, delta): PathMove(step, delta, kind)
-          for step in "UD" for delta, kind in _MOVE_KINDS.items()}
-
-
 class ProjectedPath(_Value):
     """A trace flattened onto a two-axis plane."""
 
-    __slots__ = ("plane", "points", "moves")
+    __slots__ = ("plane", "points")
 
-    def __init__(self, plane: Plane, points: tuple[tuple[int, int], ...],
-                 moves: tuple[PathMove, ...]):
-        self._set(plane, points, moves)
+    def __init__(self, plane: Plane, points: tuple[tuple[int, int], ...]):
+        self._set(plane, points)
 
 
 def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
-    """Project a trace onto a two-axis plane, classifying each move by its
-    coordinate deltas.
+    """Project a trace onto a two-axis plane, one point per node.
 
     A move that does not advance the horizontal axis shows up as a vertical
     break in the drawn polyline, and on the j-first planes (ji, jn, jk) a
@@ -161,10 +134,7 @@ def project_path(path: PathTrace, plane: Plane) -> ProjectedPath:
     """
     if plane.is_spatial:
         raise DomainError(f"project_path needs a two-axis plane, got {plane.name!r}")
-    points = tuple(map(_GETTERS[plane.axes], path.nodes))
-    moves = tuple([_MOVES[step, (x1 - x0, y1 - y0)]
-                   for step, (x0, y0), (x1, y1) in zip(path.word.steps, points, points[1:])])
-    return ProjectedPath(plane, points, moves)
+    return ProjectedPath(plane, tuple(map(_GETTERS[plane.axes], path.nodes)))
 
 
 def enumerate_words(m: int) -> Iterator[DyckWord]:

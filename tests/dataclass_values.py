@@ -1,4 +1,4 @@
-"""Reference definitions for ``test_values.py``: the twelve value classes as
+"""Reference definitions for ``test_values.py``: the eleven value classes as
 frozen dataclasses, as ``coords``, ``dynamics``, ``identities``, ``paths``,
 ``render`` and ``verify`` defined them before they became ``__slots__``
 classes.  Not collected as tests."""
@@ -157,21 +157,11 @@ class PathTrace:
 
 
 @dataclass(frozen=True)
-class PathMove:
-    """One projected step: which step it was, its 2D delta, and a direction name."""
-
-    step: str
-    delta: tuple[int, int]
-    kind: str
-
-
-@dataclass(frozen=True)
 class ProjectedPath:
     """A trace flattened onto a two-axis plane."""
 
     plane: Plane
     points: tuple[tuple[int, int], ...]
-    moves: tuple[PathMove, ...]
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ PUBLIC = {
         "square_term_special",
     ],
     "paths": [
-        "COUNT_SCAN_CAP", "ENUMERATION_CAP", "DyckWord", "PathMove", "PathTrace",
-        "ProjectedPath", "count_paths_by_height", "count_paths_to", "enumerate_words",
-        "format_word", "parse_word", "project_path", "trace",
+        "COUNT_SCAN_CAP", "ENUMERATION_CAP", "DyckWord", "PathTrace", "ProjectedPath",
+        "count_paths_by_height", "count_paths_to", "enumerate_words", "format_word",
+        "parse_word", "project_path", "trace",
     ],
     "render": ["Diagram", "DiagramSpec", "emit", "layout"],
     "verify": ["CheckResult", "run_checks"],
@@ -83,6 +83,9 @@ def test_unknown_name_raises_attribute_error():
         dyck4d.no_such_name
     with pytest.raises(ImportError):
         from dyck4d import no_such_name  # noqa: F401
+    # A projected path is its plane and its points; only the CLI names its moves.
+    with pytest.raises(AttributeError, match="has no attribute 'PathMove'"):
+        dyck4d.PathMove
 
 
 def test_the_cli_module_runs_as_a_script():

@@ -12,6 +12,7 @@ from dyck4d import (
     DyckWord,
     Node,
     Plane,
+    ProjectedPath,
     build_table,
     catalan,
     count_paths_by_height,
@@ -202,17 +203,15 @@ class TestFigurePathSegments:
 class TestProjectPath:
     def test_nk_single_arch(self):
         flat = project_path(trace(parse_word("()")), NK)
-        assert flat.points == ((0, 0), (1, 0), (1, 1))
-        assert [move.kind for move in flat.moves] == ["right", "up"]
+        assert flat == ProjectedPath(NK, ((0, 0), (1, 0), (1, 1)))
 
     def test_nj_single_arch(self):
         flat = project_path(trace(parse_word("()")), NJ)
-        assert flat.points == ((0, 0), (1, 1), (1, 0))
-        assert [move.kind for move in flat.moves] == ["up-right", "down"]
+        assert flat == ProjectedPath(NJ, ((0, 0), (1, 1), (1, 0)))
 
-    def test_ij_deltas(self):
+    def test_ij_points(self):
         flat = project_path(trace(parse_word("()")), Plane.parse("ij"))
-        assert [move.delta for move in flat.moves] == [(1, 1), (1, -1)]
+        assert flat.points == ((0, 0), (1, 1), (2, 0))
 
     def test_rejects_spatial_plane(self):
         with pytest.raises(ValueError):
@@ -353,19 +352,14 @@ def test_enumeration_matches_filtered_product(m):
     assert [w.steps for w in enumerate_words(m)] == [s for s in expected if valid(s)]
 
 
-# Move kinds of the single arch "()" (an upstep, then a downstep) on every
-# ordered axis pair.
-_ARCH_KINDS = {
-    "ij": ["up-right", "down-right"], "ji": ["up-right", "up-left"],
-    "in": ["up-right", "right"], "ni": ["up-right", "up"],
-    "ik": ["right", "up-right"], "ki": ["up", "up-right"],
-    "jn": ["up-right", "left"], "nj": ["up-right", "down"],
-    "jk": ["right", "up-left"], "kj": ["up", "down-right"],
-    "nk": ["right", "up"], "kn": ["up", "right"],
-}
+# The single arch "()" visits three nodes: the origin, (1, 1, 1, 0) after its
+# upstep and (2, 0, 1, 1) after its downstep.  Each axis's coordinates along it:
+_ARCH_COORDS = {"i": (0, 1, 2), "j": (0, 1, 0), "n": (0, 1, 1), "k": (0, 0, 1)}
 
 
-@pytest.mark.parametrize("name", sorted(_ARCH_KINDS))
+# The arch's points on every ordered axis pair, which fix its moves there.
+@pytest.mark.parametrize("name", sorted(map("".join, itertools.permutations("ijnk", 2))))
 def test_every_axis_order_names_its_moves(name):
     flat = project_path(trace(parse_word("()")), Plane.parse(name))
-    assert [move.kind for move in flat.moves] == _ARCH_KINDS[name]
+    x, y = name
+    assert flat.points == tuple(zip(_ARCH_COORDS[x], _ARCH_COORDS[y]))

@@ -306,7 +306,7 @@ def test_word_on_every_axis_order():
     # jnk flattens to jn, where a downstep moves left.
     plane = layout(DiagramSpec(plane=Plane.parse("jnk"), max_i=4)).plane
     path = project_path(trace(parse_word("()()")), plane)
-    assert [move.kind for move in path.moves] == ["up-right", "left"] * 2
+    assert path.points == ((0, 0), (1, 1), (0, 1), (1, 2), (0, 2))
 
 
 @pytest.mark.parametrize("max_i", [0, 1, 2, 3, 5, 8, 13, 16, 21, 40, 64])

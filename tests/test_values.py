@@ -1,4 +1,4 @@
-"""The twelve value classes keep what their frozen-dataclass form gave them.
+"""The eleven value classes keep what their frozen-dataclass form gave them.
 
 ``dataclass_values`` holds the dataclass definitions they replaced.  Each
 test builds the same arguments both ways: the new class must accept and
@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import dataclass_values as ref
 import dyck4d
 from dyck4d import (AXES, MAX_COORD, PLANES_2D, PLANES_3D, CheckResult, Decomposition, Diagram,
-                    DiagramSpec, DyckWord, DynamicsTable, Node, PathMove, PathTrace, Plane,
+                    DiagramSpec, DyckWord, DynamicsTable, Node, PathTrace, Plane,
                     ProjectedPath, build_table, iter_nodes)
 from dyck4d.render import PlacedNode
 
@@ -73,9 +73,7 @@ nodes = st.sampled_from(list(iter_nodes(12)))
 planes = st.sampled_from(PLANES_2D + PLANES_3D)
 points = tuples_of(st.tuples(ints, ints))
 trace_args = st.tuples(words, tuples_of(nodes))
-move_args = st.tuples(st.sampled_from("UD"), st.tuples(ints, ints),
-                      st.sampled_from(["up-right", "down-right", "left"]))
-projected_args = st.tuples(planes, points, tuples_of(move_args.map(lambda a: PathMove(*a))))
+projected_args = st.tuples(planes, points)
 families = st.sampled_from(["i", "j", "n", "k", "x", "ij"])
 spec_isolines = st.one_of(st.frozensets(families), tuples_of(families, 5),
                           tuples_of(families, 5).map("".join))
@@ -98,7 +96,6 @@ CASES = [
     (Decomposition, ref.Decomposition, decomposition_args),
     (DyckWord, ref.DyckWord, word_args),
     (PathTrace, ref.PathTrace, trace_args),
-    (PathMove, ref.PathMove, move_args),
     (ProjectedPath, ref.ProjectedPath, projected_args),
     (DiagramSpec, ref.DiagramSpec, spec_args),
     (PlacedNode, ref.PlacedNode, placed_args),
