@@ -1,12 +1,12 @@
 """Command-line front end: every library capability behind one executable.
 
-Exit codes: 0 success, 1 domain or validation error or output that cannot be
-written, 2 resource limit, 130 interrupted by Ctrl-C (which prints nothing more).
-Every deliberate failure, a usage error too, is a ``DyckError``: ``run`` catches
-no bare ``ValueError``.  All numeric output is
-exact decimal; a count past the int/str digit limit is refused before the first
-byte.  A closed pipe (``| head``) ends a command quietly; any other write error
-prints one ``error: cannot write output`` line.
+Exit codes: 0 success, 1 domain or validation error or output that cannot be written,
+2 resource limit, 130 interrupted by Ctrl-C (which prints nothing more).  Every deliberate
+failure, a usage error too, is a ``DyckError``: ``run`` catches no bare ``ValueError``.
+All numeric output is exact decimal; a count past the int/str digit limit is refused
+before the first byte.  ``table``, ``enumerate`` and ``render`` write their documents in
+pieces, as they are made.  A closed pipe (``| head``) ends a command quietly; any other
+write error prints one ``error: cannot write output`` line.
 
 Paths, rendering, verification and ``json`` load only where used: a point query
 (catalan, dynamics, decompose) loads none, nor ``csv``; no command loads ``dataclasses``,
@@ -189,7 +189,7 @@ def _cmd_enumerate(args, out: TextIOBase) -> int:
 
 def _cmd_render(args, out: TextIOBase) -> int:
     from .paths import parse_word
-    from .render import DiagramSpec, emit, layout
+    from .render import DiagramSpec, _pieces, layout
 
     if args.svg == "":
         raise DomainError("--svg needs a file path, got an empty one")
@@ -200,17 +200,17 @@ def _cmd_render(args, out: TextIOBase) -> int:
         word=parse_word(args.word) if args.word else None,
         fmt="svg" if args.svg else "text",
     )
-    document = emit(layout(spec))
+    pieces = _pieces(layout(spec))  # every refusal is raised before a file is opened
     if args.svg:
         try:
             with open(args.svg, "w", encoding="utf-8", newline="") as handle:
-                handle.write(document)
+                handle.writelines(pieces)
         except OSError as exc:
             raise DomainError(f"cannot write {args.svg}: {exc.strerror or exc}") from exc
         except ValueError as exc:  # a NUL in the path, shown escaped; no strerror
             raise DomainError(f"cannot write {args.svg!r}: {exc}") from exc
     else:
-        out.write(document)
+        out.writelines(pieces)
     return 0
 
 

@@ -1,15 +1,16 @@
 """Text and SVG diagrams of the triangle's planar views.
 
-Output is deterministic: the same :class:`DiagramSpec` always serializes to
-the same bytes, so emitted documents are safe to pin as golden files.
-Node labels are always read straight off a count table built for the spec;
-nothing is recomputed at draw time.  ``layout`` only places the nodes; the SVG
-emitter groups them by one coordinate into isolines and projects the word's path.
+Output is deterministic: the same :class:`DiagramSpec` always serializes to the same bytes,
+so emitted documents are safe to pin as golden files.  Node labels are always read straight
+off a count table built for the spec; nothing is recomputed at draw time.  ``layout`` only
+places the nodes; the SVG emitter groups them by one coordinate into isolines and projects
+the word's path.  Each emitter yields its document one line at a time: the CLI writes the
+lines as they come, so it never holds the document, and ``emit`` joins them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .coords import AXES, Node, Plane, _Value, planarity_equation, project
 from .dynamics import _check_bound, _max_digits, build_table
@@ -113,12 +114,15 @@ def layout(spec: DiagramSpec) -> Diagram:
 
 def emit(diagram: Diagram) -> str:
     """Serialize a laid-out diagram in its spec's format, which the spec validated."""
-    if diagram.spec.fmt == "svg":
-        return _emit_svg(diagram)
-    return _emit_text(diagram)
+    return "".join(_pieces(diagram))
 
 
-def _emit_text(diagram: Diagram) -> str:
+def _pieces(diagram: Diagram) -> Iterator[str]:
+    """The document ``emit`` returns, one line at a time, each ending in a newline."""
+    return (_emit_svg if diagram.spec.fmt == "svg" else _emit_text)(diagram)
+
+
+def _emit_text(diagram: Diagram) -> Iterator[str]:
     """Aligned grid of count labels; rows run top to bottom by the y axis.
 
     Isolines and the path are drawn only in SVG.
@@ -131,25 +135,18 @@ def _emit_text(diagram: Diagram) -> str:
     width = max(width, len(str(x_max)))
     y_width = len(str(y_max))
 
-    lines = []
     if diagram.note:
-        lines.append(f"[{diagram.note}]")
-    lines.append(y_name)
+        yield f"[{diagram.note}]\n"
+    yield y_name + "\n"
     for y in range(y_max, -1, -1):
         cells = [labels.get((x, y), "").rjust(width) for x in range(x_max + 1)]
-        lines.append((f"{str(y).rjust(y_width)} | " + " ".join(cells)).rstrip())
-    lines.append(" " * y_width + " +" + "-" * ((width + 1) * (x_max + 1)))
-    lines.append(
-        " " * y_width
-        + "   "
-        + " ".join(str(x).rjust(width) for x in range(x_max + 1))
-        + "  "
-        + x_name
-    )
-    return "\n".join(lines) + "\n"
+        yield (f"{str(y).rjust(y_width)} | " + " ".join(cells)).rstrip() + "\n"
+    yield " " * y_width + " +" + "-" * ((width + 1) * (x_max + 1)) + "\n"
+    ticks = " ".join(str(x).rjust(width) for x in range(x_max + 1))
+    yield f"{' ' * y_width}   {ticks}  {x_name}\n"
 
 
-def _emit_svg(diagram: Diagram) -> str:
+def _emit_svg(diagram: Diagram) -> Iterator[str]:
     """SVG 1.1 document with isolines, the optional path, and one labeled dot per node."""
     x_max = max(p.x for p in diagram.nodes)
     y_max = max(p.y for p in diagram.nodes)
@@ -162,18 +159,16 @@ def _emit_svg(diagram: Diagram) -> str:
     def py(y: int) -> int:
         return height - MARGIN - SCALE * y
 
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
-    parts.append(
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
     )
-    parts.append(
-        f"<title>{diagram.plane.name} diagram, positions up to {diagram.spec.max_i}</title>"
-    )
+    yield f"<title>{diagram.plane.name} diagram, positions up to {diagram.spec.max_i}</title>\n"
     if diagram.note:
-        parts.append(f"<desc>{diagram.note}</desc>")
+        yield f"<desc>{diagram.note}</desc>\n"
 
-    parts.append('<g id="isolines">')
+    yield '<g id="isolines">\n'
     for family in diagram.spec.isolines:
         # Nodes are placed column by column, k ascending, so each group runs
         # by rising position; read backwards, a column runs by rising j.
@@ -182,30 +177,29 @@ def _emit_svg(diagram: Diagram) -> str:
             groups.setdefault(getattr(p.node, family), []).append(f"{px(p.x)},{py(p.y)}")
         for index, points in sorted(groups.items()):
             if len(points) >= 2:
-                parts.append(
+                yield (
                     f'<polyline class="iso-{family}{index}" fill="none" '
                     f'stroke="{ISOLINE_COLORS[family]}" stroke-width="1" '
-                    f'points="{" ".join(points)}"/>'
+                    f'points="{" ".join(points)}"/>\n'
                 )
-    parts.append("</g>")
+    yield "</g>\n"
 
     if diagram.spec.word is not None:
         path = project_path(trace(diagram.spec.word), diagram.plane)
         path_points = " ".join(f"{px(x)},{py(y)}" for x, y in path.points)
-        parts.append('<g id="path">')
-        parts.append(
+        yield '<g id="path">\n'
+        yield (
             f'<polyline fill="none" stroke="{PATH_COLOR}" stroke-width="3" '
-            f'points="{path_points}"/>'
+            f'points="{path_points}"/>\n'
         )
-        parts.append("</g>")
+        yield "</g>\n"
 
-    parts.append('<g id="nodes">')
+    yield '<g id="nodes">\n'
     for p in diagram.nodes:
-        parts.append(f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3" fill="#000000"/>')
-        parts.append(
+        yield f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3" fill="#000000"/>\n'
+        yield (
             f'<text x="{px(p.x)}" y="{py(p.y) - 8}" font-family="monospace" '
-            f'font-size="12" text-anchor="middle">{p.label}</text>'
+            f'font-size="12" text-anchor="middle">{p.label}</text>\n'
         )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</g>\n"
+    yield "</svg>\n"

@@ -1,8 +1,10 @@
 import copy
 import hashlib
+import io
 import itertools
 import pickle
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from dyck4d import (
     project_path,
     trace,
 )
-from dyck4d import render
+from dyck4d import cli, render
 from dyck4d.coords import PLANES_2D, PLANES_3D, project
 from dyck4d.errors import DomainError, ResourceLimit
 from dyck4d.render import ISOLINE_COLORS
@@ -332,3 +334,34 @@ def test_output_cap_admits_the_largest_tested_render_and_refuses_before_the_tabl
         layout(DiagramSpec(plane=IJ, max_i=4096))
     with pytest.raises(ResourceLimit, match="exceeds the position cap of 4096"):
         layout(DiagramSpec(plane=IJ, max_i=4097))
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["text", "svg"])
+@pytest.mark.parametrize("plane", ["ij", "ijn"])
+def test_render_writes_the_document_in_pieces(tmp_path, plane, fmt):
+    # The CLI holds the placed nodes and one line or isoline family, never the document.
+    spec = DiagramSpec(plane=Plane.parse(plane), max_i=200, fmt=fmt)
+    document = emit(layout(spec))
+    bound = _traced_peak(lambda: layout(spec)) + len(document) // 2
+    argv = ["render", "--plane", plane, "--max-i", "200"]
+    if fmt == "svg":
+        argv += ["--svg", str(tmp_path / "diagram.svg")]
+    codes = []
+    assert _traced_peak(lambda: codes.append(cli.run(argv, stdout=_Discard()))) < bound
+    assert codes == [0]
+    if fmt == "svg":
+        assert (tmp_path / "diagram.svg").read_text(encoding="utf-8") == document
