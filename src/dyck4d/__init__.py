@@ -69,7 +69,6 @@ _EXPORTS = {
         "PathTrace",
         "ProjectedPath",
         "count_paths_by_height",
-        "count_paths_to",
         "enumerate_words",
         "format_word",
         "parse_word",

@@ -129,16 +129,17 @@ def _cmd_dynamics(args, out: TextIOBase) -> int:
 
 
 def _cmd_decompose(args, out: TextIOBase) -> int:
-    if 0 <= args.v <= DEFAULT_POSITION_CAP // 2:  # the squared sum, Cat(v), before the recurrence
+    # The squared sum, Cat(v), is the largest count printed: check it before the recurrence.
+    if 0 <= args.v <= DEFAULT_POSITION_CAP // 2:
         _check_count_digits(catalan(args.v))
-    doc = decompose_catalan(args.v).to_json_dict()  # every count as a checked string
+    dec = decompose_catalan(args.v)  # raises unless the squares sum to catalan(v)
+    terms, total = [str(t) for t in dec.terms], str(dec.sum_of_squares)
     if args.json:
         import json
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json.dumps({"v": dec.v, "terms": terms, "catalan": total}, indent=2) + "\n")
         return 0
-    # decompose_catalan raised unless the squares sum to catalan(v).
-    print("terms: " + ",".join(doc["terms"]), file=out)
-    print(f"sum-of-squares: {doc['catalan']}", file=out)
+    print("terms: " + ",".join(terms), file=out)
+    print(f"sum-of-squares: {total}", file=out)
     print("status: OK", file=out)
     return 0
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from .coords import _Value
-from .dynamics import (DEFAULT_POSITION_CAP, _check_count_digits, _columns, _first_difference,
-                       catalan)
+from .dynamics import DEFAULT_POSITION_CAP, _columns, _first_difference, catalan
 from .errors import DomainError, DyckError, ResourceLimit
 
 
@@ -102,20 +101,6 @@ class Decomposition(_Value):
     @property
     def sum_of_squares(self) -> int:
         return sum(t * t for t in self.terms)
-
-    def to_json_dict(self) -> dict:
-        """JSON record with all counts as decimal strings.
-
-        Raises :class:`ResourceLimit` when the squared sum, which holds
-        every term's square, has more digits than int/str conversion allows.
-        """
-        total = self.sum_of_squares
-        _check_count_digits(total)
-        return {
-            "v": self.v,
-            "terms": [str(t) for t in self.terms],
-            "catalan": str(total),
-        }
 
 
 def decompose_catalan(v: int) -> Decomposition:

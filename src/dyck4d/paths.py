@@ -68,10 +68,6 @@ class DyckWord(_Value):
     def unbalance(self) -> int:
         return self.steps.count("U") - self.steps.count("D")
 
-    @property
-    def is_complete(self) -> bool:
-        return self.unbalance == 0
-
 
 def parse_word(text: str) -> DyckWord:
     """Read a word from parenthesis text: '(' is an upstep, ')' a downstep."""
@@ -225,9 +221,3 @@ def count_paths_by_height(i: int) -> tuple[int, ...]:
                 counts[low_net + high_net] += 1
     return tuple(counts[14 - i:])
 
-
-def count_paths_to(i: int, j: int) -> int:
-    """Count valid step sequences of length i ending at height j: one entry
-    of :func:`count_paths_by_height`, zero for j outside 0..i."""
-    counts = count_paths_by_height(i)
-    return counts[j] if 0 <= j <= i else 0

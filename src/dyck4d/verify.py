@@ -27,7 +27,7 @@ from .errors import DyckError, NotANode, TableFormatError
 
 GEOMETRY_SEED = 427531
 GEOMETRY_WORDS = 1000
-POINT_COLUMNS = 128  # see _point_ks; every golden bound lies within it
+POINT_COLUMNS = 128  # see _point_ks
 
 _NK = coords.Plane.parse("nk")
 
@@ -186,10 +186,12 @@ def _check_oracle(bound: int) -> _Outcome:
 def _point_ks(i: int, lo: int = 0) -> Iterable[int]:
     """The k in ``lo`` .. i // 2 at which a check compares a point form with
     column i: all of them in columns up to POINT_COLUMNS, else the k that
-    ``square_term_special`` covers."""
+    ``square_term_special`` covers and four interior k drawn by a generator
+    seeded with i, so every run and every process picks the same k."""
     if i <= POINT_COLUMNS:
         return range(lo, i // 2 + 1)
-    return sorted({k for k in (0, 1, 2, i // 2) if lo <= k})
+    interior = random.Random(i).sample(range(3, i // 2), 4)
+    return sorted({k for k in (0, 1, 2, i // 2, *interior) if lo <= k})
 
 
 def _check_square_terms(bound: int) -> _Outcome:

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from dyck4d.coords import AXES, MAX_COORD, Node, Plane
-from dyck4d.dynamics import _check_count_digits
 from dyck4d.errors import DomainError, InvalidCharacter, NotANode, PrefixViolation
 from dyck4d.paths import _HEIGHT_CHANGE
 
@@ -92,15 +91,6 @@ class Decomposition:
     def sum_of_squares(self) -> int:
         return sum(t * t for t in self.terms)
 
-    def to_json_dict(self) -> dict:
-        total = self.sum_of_squares
-        _check_count_digits(total)
-        return {
-            "v": self.v,
-            "terms": [str(t) for t in self.terms],
-            "catalan": str(total),
-        }
-
 
 @dataclass(frozen=True)
 class DyckWord:
@@ -142,10 +132,6 @@ class DyckWord:
     @property
     def unbalance(self) -> int:
         return self.steps.count("U") - self.steps.count("D")
-
-    @property
-    def is_complete(self) -> bool:
-        return self.unbalance == 0
 
 
 @dataclass(frozen=True)

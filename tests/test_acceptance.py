@@ -17,7 +17,7 @@ from dyck4d import (
     build_table,
     catalan,
     convolution,
-    count_paths_to,
+    count_paths_by_height,
     is_reachable,
     iter_nodes,
     node_from,
@@ -86,7 +86,7 @@ def test_criterion_3_brute_force_oracle():
         positions = 0
         for node in iter_nodes(14):
             positions += 1
-            assert count_paths_to(node.i, node.j) == table.count(node.i, node.j)
+            assert count_paths_by_height(node.i)[node.j] == table.count(node.i, node.j)
         assert positions == 64
 
 

@@ -189,9 +189,7 @@ BAD_ARGV = [
     ["catalan", "1", "2"], ["table"], ["table", "--max-i", "3", "--format", "xml"],
     ["dynamics", "1"], ["dynamics", "4097", "1"], ["dynamics", "a", "b"],
     ["decompose", "1.5"], ["verify"],
-    ["project", "--plane", "ij"], ["project", "--plane", "xy", "--word", "()"],
-    ["project", "--plane", "ijn", "--word", "()"], ["project", "--plane", "ij", "--word", ")("],
-    ["project", "--plane", "ij", "--word", "(x)"], ["enumerate", "-1"],
+    ["project", "--plane", "ij"], ["enumerate", "-1"],
     ["render", "--plane", "ijnk", "--max-i", "3"],
     ["catalan", "\u0661\u0662"], ["table", "--max-i", "\uff13"],  # int() reads both as 12 and 3
 ]

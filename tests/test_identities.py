@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from dyck4d import identities
 from dyck4d.dynamics import _columns
 from dyck4d.errors import DomainError, ResourceLimit
 
-from conftest import needs_digit_limit
+from conftest import invoke
 
 
 class TestBinomial:
@@ -178,8 +180,9 @@ class TestDecomposition:
         assert str(info.value) == "squares of column 4 sum to 14, but catalan(4) = 15"
 
     def test_json_record(self):
-        record = decompose_catalan(4).to_json_dict()
-        assert record == {"v": 4, "terms": ["1", "3", "2"], "catalan": "14"}
+        code, out, err = invoke("decompose", "4", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"v": 4, "terms": ["1", "3", "2"], "catalan": "14"}
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -196,7 +199,20 @@ class TestDecomposition:
         assert dec.sum_of_squares == 2
 
 
-@needs_digit_limit
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 def test_json_record_past_digit_limit():
-    with pytest.raises(ResourceLimit):
-        Decomposition(0, (10**5000,)).to_json_dict()
+    # No term is longer than the squared sum, Cat(v), so the one digit check on Cat(v)
+    # admits decompose's record up to the limit and refuses it one column past.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        at_limit = invoke("decompose", "1070", "--json")
+        past_limit = invoke("decompose", "1071", "--json")
+    finally:
+        sys.set_int_max_str_digits(before)
+    code, out, err = at_limit
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["catalan"]) == 640
+    code, out, err = past_limit
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: ")

@@ -34,8 +34,8 @@ PUBLIC = {
     ],
     "paths": [
         "COUNT_SCAN_CAP", "ENUMERATION_CAP", "DyckWord", "PathTrace", "ProjectedPath",
-        "count_paths_by_height", "count_paths_to", "enumerate_words", "format_word",
-        "parse_word", "project_path", "trace",
+        "count_paths_by_height", "enumerate_words", "format_word", "parse_word",
+        "project_path", "trace",
     ],
     "render": ["Diagram", "DiagramSpec", "emit", "layout"],
     "verify": ["CheckResult", "run_checks"],
@@ -86,6 +86,9 @@ def test_unknown_name_raises_attribute_error():
     # A projected path is its plane and its points; only the CLI names its moves.
     with pytest.raises(AttributeError, match="has no attribute 'PathMove'"):
         dyck4d.PathMove
+    # One count per height is count_paths_by_height(i)[j]: no second door to the scan.
+    with pytest.raises(AttributeError, match="has no attribute 'count_paths_to'"):
+        dyck4d.count_paths_to
 
 
 def test_the_cli_module_runs_as_a_script():

@@ -16,7 +16,6 @@ from dyck4d import (
     build_table,
     catalan,
     count_paths_by_height,
-    count_paths_to,
     enumerate_words,
     format_word,
     parse_word,
@@ -50,7 +49,7 @@ class TestParsing:
     def test_empty_word(self):
         word = parse_word("")
         assert word.steps == ""
-        assert word.is_complete
+        assert word.unbalance == 0
 
     def test_prefix_violation_position(self):
         with pytest.raises(PrefixViolation) as excinfo:
@@ -63,7 +62,6 @@ class TestParsing:
 
     def test_incomplete_prefix_allowed(self):
         word = parse_word("((")
-        assert not word.is_complete
         assert word.unbalance == 2
 
     def test_direct_construction_validates(self):
@@ -251,7 +249,7 @@ class TestEnumeration:
             assert len(set(parens)) == len(parens)
 
     def test_all_complete(self):
-        assert all(word.is_complete for word in _words(5))
+        assert all(word.unbalance == 0 for word in _words(5))
 
     def test_cap(self):
         with pytest.raises(ResourceLimit):
@@ -267,29 +265,29 @@ class TestEnumeration:
 
 class TestBruteForceCounter:
     def test_origin(self):
-        assert count_paths_to(0, 0) == 1
+        assert count_paths_by_height(0) == (1,)
 
     def test_known_values(self):
-        assert count_paths_to(7, 1) == 14
-        assert count_paths_to(6, 2) == 9
-        assert count_paths_to(6, 0) == 5
+        assert count_paths_by_height(7)[1] == 14
+        assert count_paths_by_height(6)[2] == 9
+        assert count_paths_by_height(6)[0] == 5
 
     def test_unreachable(self):
-        assert count_paths_to(6, 1) == 0
-        assert count_paths_to(2, 4) == 0
-        assert count_paths_to(3, -1) == 0
+        assert count_paths_by_height(6)[1] == 0
+        assert count_paths_by_height(3)[2] == 0
 
     def test_matches_table_to_twelve(self):
         table = build_table(12)
         for i in range(13):
+            by_height = count_paths_by_height(i)
             for j in range(i % 2, i + 1, 2):
-                assert count_paths_to(i, j) == table.count(i, j)
+                assert by_height[j] == table.count(i, j)
 
     def test_cap(self):
         with pytest.raises(ResourceLimit):
-            count_paths_to(15, 1)
+            count_paths_by_height(15)
         with pytest.raises(ValueError):
-            count_paths_to(-1, 0)
+            count_paths_by_height(-1)
 
 
 def _naive_counts(i: int) -> tuple[int, ...]:
@@ -313,16 +311,13 @@ class TestHeightScan:
         [(4, -2, 0), (4, -1, 0), (4, 5, 0), (4, 6, 0), (5, 2, 0), (6, 3, 0), (6, 6, 1), (0, 0, 1)],
     )
     def test_point_counts_at_the_edges(self, i, j, expected):
-        assert count_paths_to(i, j) == expected
+        # The scan lists heights 0..i: any other height reads as zero.
+        assert dict(enumerate(count_paths_by_height(i))).get(j, 0) == expected
 
     def test_errors_unchanged(self):
         with pytest.raises(ResourceLimit, match=r"^position 15 exceeds the scan cap of 14$"):
-            count_paths_to(15, 1)
-        with pytest.raises(ResourceLimit):
             count_paths_by_height(15)
         with pytest.raises(ValueError, match=r"^position must be nonnegative, got -1$"):
-            count_paths_to(-1, 0)
-        with pytest.raises(ValueError):
             count_paths_by_height(-1)
 
     def test_touches_no_table(self, monkeypatch):

@@ -214,4 +214,3 @@ def test_tables_and_decompositions_match_the_dataclass(max_i):
     terms = tuple(table.count(max_i, max_i - 2 * k) for k in range(max_i // 2 + 1))
     new_dec, old_dec = Decomposition(max_i, terms), ref.Decomposition(max_i, terms)
     assert new_dec.sum_of_squares == old_dec.sum_of_squares
-    assert new_dec.to_json_dict() == old_dec.to_json_dict()

@@ -56,7 +56,7 @@ def test_no_column_past_the_bound_is_made(monkeypatch):
 @pytest.mark.parametrize("bound", ["0", "1", "13", "64", "128", "512"])
 def test_details_match_golden(bound):
     # Every check's name, order, outcome and detail text at six bounds; 512 reaches the
-    # columns where the point forms are compared at four entries only.
+    # columns where the point forms are compared at a sample of entries only.
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[bound]
     got = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in run_checks(int(bound))]
     assert got == expected
@@ -162,6 +162,18 @@ def test_point_terms_past_the_point_columns_are_checked_at_the_special_k(monkeyp
     )
     # Column 200 holds one matrix entry at bound 200: row n = 100, j = 0, at k = 100.
     assert verify._check_convolution(200)[0] == (k != 100)
+
+
+def test_point_terms_past_the_point_columns_are_checked_inside_the_column(monkeypatch):
+    # Wrong only where no dedicated form reaches: 2 < k < i // 2 past POINT_COLUMNS.  The
+    # interior k are seeded by the column, so the first failure is the same in every run.
+    real = identities.square_term
+    monkeypatch.setattr(identities, "square_term", lambda i, k: (
+        0 if verify.POINT_COLUMNS < i and 2 < k < i // 2 else real(i, k)))
+    assert verify._check_square_terms(512) == (
+        False, "square_term disagrees with its column at (i=129, k=36)")
+    assert verify._check_convolution(512) == (
+        False, "convolution disagrees with its column at (n=93, j=57)")
 
 
 def _counting(real):
